@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -119,7 +120,10 @@ Histogram& Registry::histogram(std::string_view name,
 
 namespace {
 
+// JSON number text; NaN and infinities have no JSON spelling, so they
+// render as null.
 std::string number_text(double v) {
+  if (!std::isfinite(v)) return "null";
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.12g", v);
   return buf;

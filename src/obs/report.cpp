@@ -1,6 +1,7 @@
 #include "obs/report.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -85,17 +86,23 @@ Json& Json::push_back(Json v) {
 }
 
 void Json::dump_into(std::string& out, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  const std::string pad_in(static_cast<std::size_t>(indent + 1) * 2, ' ');
-  char buf[48];
+  const bool line = indent < 0;
   switch (kind_) {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += bool_ ? "true" : "false"; break;
     case Kind::kInt: out += std::to_string(int_); break;
-    case Kind::kDouble:
+    case Kind::kDouble: {
+      // NaN and infinities have no JSON spelling; null keeps the document
+      // parseable.
+      if (!std::isfinite(num_)) {
+        out += "null";
+        break;
+      }
+      char buf[48];
       std::snprintf(buf, sizeof buf, "%.12g", num_);
       out += buf;
       break;
+    }
     case Kind::kString:
       out += '"';
       escape_into(out, str_);
@@ -103,35 +110,33 @@ void Json::dump_into(std::string& out, int indent) const {
       break;
     case Kind::kRaw: out += str_; break;
     case Kind::kArray:
-      if (items_.empty()) {
-        out += "[]";
-        break;
+    case Kind::kObject: {
+      const bool object = kind_ == Kind::kObject;
+      const std::size_t size = object ? members_.size() : items_.size();
+      const int inner = line ? indent : indent + 1;
+      out += object ? '{' : '[';
+      for (std::size_t i = 0; i < size; ++i) {
+        if (i) out += ',';
+        if (!line) {
+          out += '\n';
+          out.append(static_cast<std::size_t>(inner) * 2, ' ');
+        }
+        if (object) {
+          out += '"';
+          escape_into(out, members_[i].first);
+          out += line ? "\":" : "\": ";
+          members_[i].second.dump_into(out, inner);
+        } else {
+          items_[i].dump_into(out, inner);
+        }
       }
-      out += "[\n";
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        out += pad_in;
-        items_[i].dump_into(out, indent + 1);
-        if (i + 1 < items_.size()) out += ',';
+      if (!line && size > 0) {
         out += '\n';
+        out.append(static_cast<std::size_t>(indent) * 2, ' ');
       }
-      out += pad + "]";
+      out += object ? '}' : ']';
       break;
-    case Kind::kObject:
-      if (members_.empty()) {
-        out += "{}";
-        break;
-      }
-      out += "{\n";
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        out += pad_in + '"';
-        escape_into(out, members_[i].first);
-        out += "\": ";
-        members_[i].second.dump_into(out, indent + 1);
-        if (i + 1 < members_.size()) out += ',';
-        out += '\n';
-      }
-      out += pad + "}";
-      break;
+    }
   }
 }
 
@@ -141,49 +146,7 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-void Json::dump_line_into(std::string& out) const {
-  char buf[48];
-  switch (kind_) {
-    case Kind::kNull: out += "null"; break;
-    case Kind::kBool: out += bool_ ? "true" : "false"; break;
-    case Kind::kInt: out += std::to_string(int_); break;
-    case Kind::kDouble:
-      std::snprintf(buf, sizeof buf, "%.12g", num_);
-      out += buf;
-      break;
-    case Kind::kString:
-      out += '"';
-      escape_into(out, str_);
-      out += '"';
-      break;
-    case Kind::kRaw: out += str_; break;
-    case Kind::kArray:
-      out += '[';
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        if (i) out += ',';
-        items_[i].dump_line_into(out);
-      }
-      out += ']';
-      break;
-    case Kind::kObject:
-      out += '{';
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        if (i) out += ',';
-        out += '"';
-        escape_into(out, members_[i].first);
-        out += "\":";
-        members_[i].second.dump_line_into(out);
-      }
-      out += '}';
-      break;
-  }
-}
-
-std::string Json::dump_line() const {
-  std::string out;
-  dump_line_into(out);
-  return out;
-}
+std::string Json::dump_line() const { return dump(-1); }
 
 std::string BenchReport::output_dir() {
   if (const char* dir = std::getenv("CRYOSOC_BENCH_DIR");

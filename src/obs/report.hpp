@@ -59,16 +59,18 @@ class Json {
   // Array append. Converts a null value into an array.
   Json& push_back(Json v);
 
+  // Pretty rendering, two spaces per nesting level starting at `indent`;
+  // a negative indent selects the single-line form. Non-finite doubles
+  // render as null.
   std::string dump(int indent = 0) const;
   // Single-line rendering (no whitespace) for NDJSON streams; same member
-  // order and number formatting as dump().
+  // order and number formatting as dump(). Equivalent to dump(-1).
   std::string dump_line() const;
 
  private:
   enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject,
                     kRaw };
   void dump_into(std::string& out, int indent) const;
-  void dump_line_into(std::string& out) const;
 
   Kind kind_;
   bool bool_ = false;

@@ -164,7 +164,13 @@ class Assembler {
     }
     const std::int64_t lo12 =
         (value << 52) >> 52;  // sign-extended low 12 bits
-    const std::int64_t hi = (value - lo12) >> 12;
+    // value - lo12 overflows int64 near the top of the range (INT64_MAX
+    // has lo12 = -1); subtract modulo 2^64, which is what the register
+    // arithmetic of the emitted sequence does anyway.
+    const std::int64_t hi =
+        static_cast<std::int64_t>(static_cast<std::uint64_t>(value) -
+                                  static_cast<std::uint64_t>(lo12)) >>
+        12;
     emit_li(rd, hi);
     emit({Op::kSlli, rd, rd, 0, 12});
     if (lo12 != 0) emit({Op::kAddi, rd, rd, 0, lo12});

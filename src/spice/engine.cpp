@@ -220,91 +220,103 @@ Engine::Engine(const Circuit& circuit, SolveContext* context)
       dim_(n_nodes_ + n_sources_),
       ctx_(context != nullptr ? context : &owned_ctx_),
       engine_id_(next_engine_id()) {
-  // Precompute the flat stamp slots of every MOSFET. The six A entries and
-  // two z entries are re-stamped on every NR iteration; resolving the
-  // row/column arithmetic and the ground drops once keeps that loop to
-  // loads, a conductance evaluation, and indexed adds.
-  const std::size_t n = dim_;
-  const auto a_slot = [&](NodeId row, NodeId col) -> std::size_t {
-    if (row == kGround || col == kGround) return kDropped;
-    return static_cast<std::size_t>(row - 1) * n +
-           static_cast<std::size_t>(col - 1);
+  // List every matrix entry once, in the order build_linear and
+  // stamp_mosfets walk the circuit, so entry k of that walk is entries_[k]
+  // and its slot in either core is slot[k].
+  entries_.reserve(4 * circuit.resistors().size() +
+                   4 * circuit.capacitors().size() + 4 * n_sources_ +
+                   6 * circuit.mosfets().size() + n_nodes_);
+  const auto m = [](NodeId id) {
+    return static_cast<std::int32_t>(id) - 1;  // ground -> -1 (dropped)
   };
-  const auto x_slot = [](NodeId id) -> std::size_t {
-    return id == kGround ? kDropped : static_cast<std::size_t>(id - 1);
+  const auto pair2 = [&](std::int32_t a, std::int32_t b) {
+    entries_.push_back({a, a});
+    entries_.push_back({b, b});
+    entries_.push_back({a, b});
+    entries_.push_back({b, a});
   };
-  mos_stamps_.reserve(circuit.mosfets().size());
-  for (const Mosfet& m : circuit.mosfets()) {
-    MosStamp s;
-    s.a_dg = a_slot(m.drain, m.gate);
-    s.a_dd = a_slot(m.drain, m.drain);
-    s.a_ds = a_slot(m.drain, m.source);
-    s.a_sg = a_slot(m.source, m.gate);
-    s.a_sd = a_slot(m.source, m.drain);
-    s.a_ss = a_slot(m.source, m.source);
-    s.z_d = x_slot(m.drain);
-    s.z_s = x_slot(m.source);
-    s.x_g = x_slot(m.gate);
-    s.x_d = x_slot(m.drain);
-    s.x_s = x_slot(m.source);
-    mos_stamps_.push_back(s);
+  for (const Resistor& res : circuit.resistors()) pair2(m(res.a), m(res.b));
+  for (const Capacitor& cap : circuit.capacitors()) pair2(m(cap.a), m(cap.b));
+  for (std::size_t k = 0; k < n_sources_; ++k) {
+    const VoltageSource& src = circuit.vsources()[k];
+    const std::int32_t row = static_cast<std::int32_t>(n_nodes_ + k);
+    entries_.push_back({row, m(src.pos)});
+    entries_.push_back({row, m(src.neg)});
+    entries_.push_back({m(src.pos), row});
+    entries_.push_back({m(src.neg), row});
   }
+  mos_begin_ = entries_.size();
+  for (const Mosfet& fet : circuit.mosfets()) {
+    const std::int32_t d = m(fet.drain), g = m(fet.gate), s = m(fet.source);
+    entries_.push_back({d, g});
+    entries_.push_back({d, d});
+    entries_.push_back({d, s});
+    entries_.push_back({s, g});
+    entries_.push_back({s, d});
+    entries_.push_back({s, s});
+  }
+  for (std::size_t i = 0; i < n_nodes_; ++i) {
+    const std::int32_t d = static_cast<std::int32_t>(i);
+    entries_.push_back({d, d});
+  }
+  // Offsets are computed in size_t: a block-scale circuit that only ever
+  // runs on the sparse core must not overflow its (unused) dense map.
+  dense_slot_.reserve(entries_.size());
+  for (const sparse::Coord& e : entries_)
+    dense_slot_.push_back(e.row < 0 || e.col < 0
+                              ? kDropped
+                              : static_cast<std::size_t>(e.row) * dim_ +
+                                    static_cast<std::size_t>(e.col));
 }
 
 void Engine::build_linear(const SolveSetup& setup,
                           const std::vector<CapState>& caps,
+                          const std::vector<std::size_t>& slot,
                           std::vector<double>& a,
                           std::vector<double>& z) const {
-  const std::size_t n = dim_;
   std::fill(a.begin(), a.end(), 0.0);
   std::fill(z.begin(), z.end(), 0.0);
 
-  // Stamp helpers; rows/cols < 0 mean ground and are dropped.
-  auto stamp_a = [&](int row, int col, double val) {
-    if (row >= 0 && col >= 0) a[static_cast<std::size_t>(row) * n +
-                                static_cast<std::size_t>(col)] += val;
+  // Stamp helpers: entries are consumed in list order; ground rows and
+  // columns are dropped.
+  std::size_t k = 0;
+  const auto stamp_a = [&](double val) {
+    const std::size_t s = slot[k++];
+    if (s != kDropped) a[s] += val;
   };
-  auto stamp_z = [&](int row, double val) {
-    if (row >= 0) z[static_cast<std::size_t>(row)] += val;
+  const auto stamp_z = [&](NodeId id, double val) {
+    if (id != kGround) z[static_cast<std::size_t>(id - 1)] += val;
   };
-  auto r = [](NodeId id) { return static_cast<int>(id) - 1; };
 
   for (const Resistor& res : circuit_.resistors()) {
     const double g = 1.0 / res.ohms;
-    stamp_a(r(res.a), r(res.a), g);
-    stamp_a(r(res.b), r(res.b), g);
-    stamp_a(r(res.a), r(res.b), -g);
-    stamp_a(r(res.b), r(res.a), -g);
+    stamp_a(g);
+    stamp_a(g);
+    stamp_a(-g);
+    stamp_a(-g);
   }
 
-  if (setup.transient) {
-    for (std::size_t i = 0; i < circuit_.capacitors().size(); ++i) {
-      const Capacitor& cap = circuit_.capacitors()[i];
-      if (cap.farads <= 0.0) continue;
-      if (setup.backward_euler) {
-        // BE companion: i = geq*(v - v_old). No history-current term, so
-        // a step after a violent transition starts NR closer to its
-        // solution than the ringing-prone trapezoidal companion.
-        const double geq = cap.farads / setup.h;
-        const double ieq = -geq * caps[i].voltage;
-        stamp_a(r(cap.a), r(cap.a), geq);
-        stamp_a(r(cap.b), r(cap.b), geq);
-        stamp_a(r(cap.a), r(cap.b), -geq);
-        stamp_a(r(cap.b), r(cap.a), -geq);
-        stamp_z(r(cap.a), -ieq);
-        stamp_z(r(cap.b), ieq);
-      } else {
-        // Trapezoidal companion: i = geq*(v - v_old) - i_old.
-        const double geq = 2.0 * cap.farads / setup.h;
-        const double ieq = -geq * caps[i].voltage - caps[i].current;
-        stamp_a(r(cap.a), r(cap.a), geq);
-        stamp_a(r(cap.b), r(cap.b), geq);
-        stamp_a(r(cap.a), r(cap.b), -geq);
-        stamp_a(r(cap.b), r(cap.a), -geq);
-        stamp_z(r(cap.a), -ieq);
-        stamp_z(r(cap.b), ieq);
-      }
+  for (std::size_t i = 0; i < circuit_.capacitors().size(); ++i) {
+    const Capacitor& cap = circuit_.capacitors()[i];
+    if (!setup.transient || cap.farads <= 0.0) {
+      k += 4;  // the entries exist even when the stamp is skipped
+      continue;
     }
+    // Backward-Euler companion: i = geq*(v - v_old). No history-current
+    // term, so a step after a violent transition starts NR closer to its
+    // solution than the ringing-prone trapezoidal companion
+    // i = geq*(v - v_old) - i_old.
+    const double geq = setup.backward_euler ? cap.farads / setup.h
+                                            : 2.0 * cap.farads / setup.h;
+    const double ieq = setup.backward_euler
+                           ? -geq * caps[i].voltage
+                           : -geq * caps[i].voltage - caps[i].current;
+    stamp_a(geq);
+    stamp_a(geq);
+    stamp_a(-geq);
+    stamp_a(-geq);
+    stamp_z(cap.a, -ieq);
+    stamp_z(cap.b, ieq);
   }
 
   // Source rows come after the MOSFET stamps in the historical build, but
@@ -312,277 +324,60 @@ void Engine::build_linear(const SolveSetup& setup,
   // < n_nodes_), so hoisting them into the skeleton leaves every entry's
   // accumulation sequence — and therefore every bit of the solution —
   // unchanged.
-  for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
-    const VoltageSource& src = circuit_.vsources()[k];
-    const int row = static_cast<int>(n_nodes_ + k);
-    stamp_a(row, r(src.pos), 1.0);
-    stamp_a(row, r(src.neg), -1.0);
+  for (std::size_t s = 0; s < n_sources_; ++s) {
+    const VoltageSource& src = circuit_.vsources()[s];
+    stamp_a(1.0);
+    stamp_a(-1.0);
     // source_scale is the continuation multiplier (1.0 outside the
     // source-stepping fallback).
-    stamp_z(row, setup.source_scale * src.wave.value(setup.t));
+    z[n_nodes_ + s] += setup.source_scale * src.wave.value(setup.t);
     // Branch current column (current flows pos -> through source -> neg).
-    stamp_a(r(src.pos), row, 1.0);
-    stamp_a(r(src.neg), row, -1.0);
+    stamp_a(1.0);
+    stamp_a(-1.0);
   }
 }
 
 void Engine::stamp_mosfets(const std::vector<double>& x_prev,
+                           const std::vector<std::size_t>& slot,
                            std::vector<double>& a,
                            std::vector<double>& z) const {
-  const auto& mosfets = circuit_.mosfets();
-  for (std::size_t k = 0; k < mosfets.size(); ++k) {
-    const MosStamp& s = mos_stamps_[k];
-    const double vg = s.x_g == kDropped ? 0.0 : x_prev[s.x_g];
-    const double vd = s.x_d == kDropped ? 0.0 : x_prev[s.x_d];
-    const double vs = s.x_s == kDropped ? 0.0 : x_prev[s.x_s];
-    const double vgs = vg - vs;
-    const double vds = vd - vs;
-    const auto c = mosfets[k].fet.conductances(vgs, vds);
+  std::size_t k = mos_begin_;
+  const auto stamp_a = [&](double val) {
+    const std::size_t s = slot[k++];
+    if (s != kDropped) a[s] += val;
+  };
+  const auto v = [&](NodeId id) {
+    return id == kGround ? 0.0 : x_prev[static_cast<std::size_t>(id - 1)];
+  };
+  for (const Mosfet& m : circuit_.mosfets()) {
+    const double vgs = v(m.gate) - v(m.source);
+    const double vds = v(m.drain) - v(m.source);
+    const auto c = m.fet.conductances(vgs, vds);
     // Norton linearization: Id = ids + gm*dvgs + gds*dvds. Entry order
     // matches the reference build exactly (bit-identical accumulation).
     const double ieq = c.ids - c.gm * vgs - c.gds * vds;
-    if (s.a_dg != kDropped) a[s.a_dg] += c.gm;
-    if (s.a_dd != kDropped) a[s.a_dd] += c.gds;
-    if (s.a_ds != kDropped) a[s.a_ds] += -(c.gm + c.gds);
-    if (s.a_sg != kDropped) a[s.a_sg] += -c.gm;
-    if (s.a_sd != kDropped) a[s.a_sd] += -c.gds;
-    if (s.a_ss != kDropped) a[s.a_ss] += c.gm + c.gds;
-    if (s.z_d != kDropped) z[s.z_d] += -ieq;
-    if (s.z_s != kDropped) z[s.z_s] += ieq;
+    stamp_a(c.gm);
+    stamp_a(c.gds);
+    stamp_a(-(c.gm + c.gds));
+    stamp_a(-c.gm);
+    stamp_a(-c.gds);
+    stamp_a(c.gm + c.gds);
+    if (m.drain != kGround) z[static_cast<std::size_t>(m.drain - 1)] += -ieq;
+    if (m.source != kGround) z[static_cast<std::size_t>(m.source - 1)] += ieq;
   }
 }
 
-// Sparse core. The coordinate list below and the stamping routines walk
-// the circuit in ONE fixed occurrence order — resistors (4 entries each),
-// capacitors (4), source rows (4), MOSFETs (6), then the per-node gmin
-// diagonal — so slot_of()[occurrence] lines up by construction. Ground
-// rows/columns carry kNoSlot and are skipped, exactly like the dense
-// path's kDropped.
 void Engine::ensure_sparse() const {
   SolveContext& ctx = *ctx_;
   if (ctx.sparse_owner_ == engine_id_ && ctx.sparse_lu_.analyzed()) return;
-  std::vector<sparse::Coord> coords;
-  coords.reserve(4 * circuit_.resistors().size() +
-                 4 * circuit_.capacitors().size() +
-                 4 * circuit_.vsources().size() +
-                 6 * circuit_.mosfets().size() + n_nodes_);
-  const auto m = [](NodeId id) {
-    return static_cast<std::int32_t>(id) - 1;  // ground -> -1 (dropped)
-  };
-  const auto pair2 = [&](std::int32_t a, std::int32_t b) {
-    coords.push_back({a, a});
-    coords.push_back({b, b});
-    coords.push_back({a, b});
-    coords.push_back({b, a});
-  };
-  for (const Resistor& res : circuit_.resistors()) pair2(m(res.a), m(res.b));
-  for (const Capacitor& cap : circuit_.capacitors())
-    pair2(m(cap.a), m(cap.b));
-  for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
-    const VoltageSource& src = circuit_.vsources()[k];
-    const std::int32_t row = static_cast<std::int32_t>(n_nodes_ + k);
-    coords.push_back({row, m(src.pos)});
-    coords.push_back({row, m(src.neg)});
-    coords.push_back({m(src.pos), row});
-    coords.push_back({m(src.neg), row});
-  }
-  for (const Mosfet& fet : circuit_.mosfets()) {
-    const std::int32_t d = m(fet.drain), g = m(fet.gate), s = m(fet.source);
-    coords.push_back({d, g});
-    coords.push_back({d, d});
-    coords.push_back({d, s});
-    coords.push_back({s, g});
-    coords.push_back({s, d});
-    coords.push_back({s, s});
-  }
-  for (std::size_t i = 0; i < n_nodes_; ++i) {
-    const std::int32_t d = static_cast<std::int32_t>(i);
-    coords.push_back({d, d});
-  }
-  ctx.sparse_lu_.analyze(dim_, coords, &ctx.allocations_);
+  ctx.sparse_lu_.analyze(dim_, entries_, &ctx.allocations_);
+  static_assert(static_cast<std::size_t>(sparse::kNoSlot) == kDropped);
+  const std::vector<std::int32_t>& slot_of = ctx.sparse_lu_.slot_of();
+  ctx.grow(ctx.sparse_slot_, slot_of.size());
+  std::transform(slot_of.begin(), slot_of.end(), ctx.sparse_slot_.begin(),
+                 [](std::int32_t s) { return static_cast<std::size_t>(s); });
   ctx.sparse_owner_ = engine_id_;
   symbolic_analyses_counter().add(1);
-}
-
-void Engine::build_linear_sparse(const SolveSetup& setup,
-                                 const std::vector<CapState>& caps,
-                                 std::vector<double>& vals,
-                                 std::vector<double>& z) const {
-  const std::vector<std::int32_t>& slot = ctx_->sparse_lu_.slot_of();
-  std::fill(vals.begin(), vals.end(), 0.0);
-  std::fill(z.begin(), z.end(), 0.0);
-
-  std::size_t c = 0;  // running occurrence index into slot_of
-  const auto add_a = [&](double v) {
-    const std::int32_t s = slot[c++];
-    if (s >= 0) vals[static_cast<std::size_t>(s)] += v;
-  };
-  const auto stamp_z = [&](int row, double v) {
-    if (row >= 0) z[static_cast<std::size_t>(row)] += v;
-  };
-  const auto r = [](NodeId id) { return static_cast<int>(id) - 1; };
-
-  for (const Resistor& res : circuit_.resistors()) {
-    const double g = 1.0 / res.ohms;
-    add_a(g);
-    add_a(g);
-    add_a(-g);
-    add_a(-g);
-  }
-
-  for (std::size_t i = 0; i < circuit_.capacitors().size(); ++i) {
-    const Capacitor& cap = circuit_.capacitors()[i];
-    if (!setup.transient || cap.farads <= 0.0) {
-      c += 4;  // occurrence slots exist even when the stamp is skipped
-      continue;
-    }
-    // Same companions as the dense build (see build_linear).
-    const double geq = setup.backward_euler ? cap.farads / setup.h
-                                            : 2.0 * cap.farads / setup.h;
-    const double ieq = setup.backward_euler
-                           ? -geq * caps[i].voltage
-                           : -geq * caps[i].voltage - caps[i].current;
-    add_a(geq);
-    add_a(geq);
-    add_a(-geq);
-    add_a(-geq);
-    stamp_z(r(cap.a), -ieq);
-    stamp_z(r(cap.b), ieq);
-  }
-
-  for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
-    const VoltageSource& src = circuit_.vsources()[k];
-    const int row = static_cast<int>(n_nodes_ + k);
-    add_a(1.0);
-    add_a(-1.0);
-    stamp_z(row, setup.source_scale * src.wave.value(setup.t));
-    add_a(1.0);
-    add_a(-1.0);
-  }
-}
-
-void Engine::stamp_mosfets_sparse(const std::vector<double>& x_prev,
-                                  std::vector<double>& vals,
-                                  std::vector<double>& z) const {
-  const std::vector<std::int32_t>& slot = ctx_->sparse_lu_.slot_of();
-  std::size_t c = 4 * circuit_.resistors().size() +
-                  4 * circuit_.capacitors().size() +
-                  4 * circuit_.vsources().size();
-  const auto add_a = [&](double v) {
-    const std::int32_t s = slot[c++];
-    if (s >= 0) vals[static_cast<std::size_t>(s)] += v;
-  };
-  const auto& mosfets = circuit_.mosfets();
-  for (std::size_t k = 0; k < mosfets.size(); ++k) {
-    const MosStamp& s = mos_stamps_[k];
-    const double vg = s.x_g == kDropped ? 0.0 : x_prev[s.x_g];
-    const double vd = s.x_d == kDropped ? 0.0 : x_prev[s.x_d];
-    const double vs = s.x_s == kDropped ? 0.0 : x_prev[s.x_s];
-    const double vgs = vg - vs;
-    const double vds = vd - vs;
-    const auto cond = mosfets[k].fet.conductances(vgs, vds);
-    const double ieq = cond.ids - cond.gm * vgs - cond.gds * vds;
-    add_a(cond.gm);
-    add_a(cond.gds);
-    add_a(-(cond.gm + cond.gds));
-    add_a(-cond.gm);
-    add_a(-cond.gds);
-    add_a(cond.gm + cond.gds);
-    if (s.z_d != kDropped) z[s.z_d] += -ieq;
-    if (s.z_s != kDropped) z[s.z_s] += ieq;
-  }
-}
-
-Engine::NrOutcome Engine::solve_nonlinear_sparse(
-    std::vector<double>& x, const SolveSetup& setup,
-    const std::vector<CapState>& caps, const TranOptions& options) const {
-  const std::size_t n = dim_;
-  SolveContext& ctx = *ctx_;
-  ctx.prepare(n, n_nodes_, /*dense=*/false);
-  ensure_sparse();
-  sparse::SparseLu& lu = ctx.sparse_lu_;
-  std::vector<double>& vals = lu.values();
-  std::vector<double>& rhs = ctx.z_;  // skeleton copy, then LU solution
-  std::vector<double>& prev_dv = ctx.prev_dv_;
-  std::fill(prev_dv.begin(), prev_dv.end(), 0.0);
-
-  // Same shape as the dense path: the linear skeleton — now a CSC value
-  // array — is stamped once per solve, memcpy'd back each iteration, and
-  // only the MOSFETs restamp. The factorization goes one step further:
-  // the pattern and pivot order freeze on the first factor, and later
-  // iterations run the numeric-only refactorization.
-  build_linear_sparse(setup, caps, lu.skeleton(), ctx.z_lin_);
-  const std::size_t gmin_base =
-      4 * circuit_.resistors().size() + 4 * circuit_.capacitors().size() +
-      4 * circuit_.vsources().size() + 6 * circuit_.mosfets().size();
-  const std::vector<std::int32_t>& slot = lu.slot_of();
-
-  NrOutcome out;
-  std::uint64_t refactors = 0;
-  const auto finish = [&](int iters, bool converged) {
-    nr_iterations_counter().add(static_cast<std::uint64_t>(iters));
-    stamp_full_counter().add(1);
-    stamp_incremental_counter().add(static_cast<std::uint64_t>(iters));
-    if (refactors > 0) numeric_refactors_counter().add(refactors);
-    if (!converged) nr_nonconverged_counter().add(1);
-    if (out.near_singular) near_singular_counter().add(1);
-    out.iterations = iters;
-    out.converged = converged;
-    return out;
-  };
-  for (int iter = 0; iter < options.max_nr_iterations; ++iter) {
-    std::copy(lu.skeleton().begin(), lu.skeleton().end(), vals.begin());
-    std::copy(ctx.z_lin_.begin(), ctx.z_lin_.end(), rhs.begin());
-    stamp_mosfets_sparse(x, vals, rhs);
-    for (std::size_t i = 0; i < n_nodes_; ++i)
-      vals[static_cast<std::size_t>(slot[gmin_base + i])] += setup.gmin;
-
-    sparse::FactorStats fs;
-    sparse::FactorStatus st;
-    if (!lu.factored()) {
-      st = lu.factor(&fs, &ctx.allocations_);
-      if (st == sparse::FactorStatus::kOk)
-        fill_nnz_gauge().set(static_cast<double>(lu.fill_nnz()));
-    } else {
-      ++refactors;
-      st = lu.refactor(&fs);
-      if (st == sparse::FactorStatus::kRepivot) {
-        st = lu.factor(&fs, &ctx.allocations_);
-        if (st == sparse::FactorStatus::kOk)
-          fill_nnz_gauge().set(static_cast<double>(lu.fill_nnz()));
-      }
-    }
-    if (st != sparse::FactorStatus::kOk) {
-      out.singular = true;
-      return finish(iter + 1, false);
-    }
-    out.near_singular |= fs.near_singular;
-    lu.solve(rhs);
-
-    // Identical limiting/damping/acceptance to the dense path.
-    const double limit =
-        iter < 12 ? 0.4 : std::max(0.4 * std::pow(0.7, iter - 12), 1e-4);
-    double max_dv = 0.0, max_di = 0.0;
-    for (std::size_t i = 0; i < n_nodes_; ++i) {
-      double dv = clamp(rhs[i] - x[i], -limit, limit);
-      if (dv * prev_dv[i] < 0.0) dv *= 0.5;
-      prev_dv[i] = dv;
-      if (std::abs(dv) > max_dv) {
-        max_dv = std::abs(dv);
-        out.worst_node = i;
-      }
-      x[i] += dv;
-    }
-    for (std::size_t i = n_nodes_; i < n; ++i) {
-      const double di = rhs[i] - x[i];
-      max_di = std::max(max_di, std::abs(di));
-      x[i] = rhs[i];
-    }
-    out.worst_dv = max_dv;
-    if (max_dv < options.v_abstol && max_di < options.i_abstol)
-      return finish(iter + 1, true);
-  }
-  return finish(options.max_nr_iterations, false);
 }
 
 void Engine::build_reference(const std::vector<double>& x_prev,
@@ -677,44 +472,79 @@ Engine::NrOutcome Engine::solve_nonlinear(std::vector<double>& x,
                                           const TranOptions& options) const {
   if (reference_stamping_)
     return solve_nonlinear_reference(x, setup, caps, options);
-  if (effective_solver() == LinearSolver::kSparse)
-    return solve_nonlinear_sparse(x, setup, caps, options);
+  const bool dense = effective_solver() == LinearSolver::kDense;
   const std::size_t n = dim_;
   SolveContext& ctx = *ctx_;
-  ctx.prepare(n, n_nodes_);
-  std::vector<double>& a = ctx.a_;
+  ctx.prepare(n, n_nodes_, dense);
+  if (!dense) ensure_sparse();
+  sparse::SparseLu& lu = ctx.sparse_lu_;
+  // Both cores keep A as one flat value array addressed through their
+  // entry map: row-major dense offsets, or CSC value slots.
+  const std::vector<std::size_t>& slot = dense ? dense_slot_ : ctx.sparse_slot_;
+  std::vector<double>& a_lin = dense ? ctx.a_lin_ : lu.skeleton();
+  std::vector<double>& a = dense ? ctx.a_ : lu.values();
   std::vector<double>& rhs = ctx.z_;  // skeleton copy, then LU solution
   std::vector<double>& prev_dv = ctx.prev_dv_;
   std::fill(prev_dv.begin(), prev_dv.end(), 0.0);
 
   // The linear skeleton is invariant across this solve's NR iterations:
   // stamp it once, memcpy it back each iteration, restamp only MOSFETs.
-  build_linear(setup, caps, ctx.a_lin_, ctx.z_lin_);
+  build_linear(setup, caps, slot, a_lin, ctx.z_lin_);
+  const std::size_t gmin_begin = entries_.size() - n_nodes_;
 
   NrOutcome out;
+  std::uint64_t refactors = 0;
   const auto finish = [&](int iters, bool converged) {
     nr_iterations_counter().add(static_cast<std::uint64_t>(iters));
     stamp_full_counter().add(1);
     stamp_incremental_counter().add(static_cast<std::uint64_t>(iters));
+    if (refactors > 0) numeric_refactors_counter().add(refactors);
     if (!converged) nr_nonconverged_counter().add(1);
     if (out.near_singular) near_singular_counter().add(1);
     out.iterations = iters;
     out.converged = converged;
     return out;
   };
+  // The factor-and-solve seam, the one step that differs between the
+  // cores. The sparse core freezes its pattern and pivot order on the
+  // first factor and runs the numeric-only refactorization after that,
+  // re-running the full factor when the frozen pivots go stale. On
+  // success rhs holds the solution.
+  const auto factor_solve = [&]() {
+    if (dense) {
+      LuStats stats;
+      if (!lu_solve(a, rhs, n, ctx.lu_scale_, &stats)) return false;
+      out.near_singular |= stats.near_singular;
+      return true;
+    }
+    sparse::FactorStats stats;
+    sparse::FactorStatus status = sparse::FactorStatus::kRepivot;
+    if (lu.factored()) {
+      ++refactors;
+      status = lu.refactor(&stats);
+    }
+    if (status == sparse::FactorStatus::kRepivot) {
+      status = lu.factor(&stats, &ctx.allocations_);
+      if (status == sparse::FactorStatus::kOk)
+        fill_nnz_gauge().set(static_cast<double>(lu.fill_nnz()));
+    }
+    if (status != sparse::FactorStatus::kOk) return false;
+    out.near_singular |= stats.near_singular;
+    lu.solve(rhs);
+    return true;
+  };
   for (int iter = 0; iter < options.max_nr_iterations; ++iter) {
-    std::copy(ctx.a_lin_.begin(), ctx.a_lin_.end(), a.begin());
+    std::copy(a_lin.begin(), a_lin.end(), a.begin());
     std::copy(ctx.z_lin_.begin(), ctx.z_lin_.end(), rhs.begin());
-    stamp_mosfets(x, a, rhs);
+    stamp_mosfets(x, slot, a, rhs);
     // gmin from every node to ground stabilizes floating regions. Applied
     // after the MOSFET stamps, exactly where the reference build adds it.
-    for (std::size_t i = 0; i < n_nodes_; ++i) a[i * n + i] += setup.gmin;
-    LuStats lu;
-    if (!lu_solve(a, rhs, n, ctx.lu_scale_, &lu)) {
+    for (std::size_t i = 0; i < n_nodes_; ++i)
+      a[slot[gmin_begin + i]] += setup.gmin;
+    if (!factor_solve()) {
       out.singular = true;
       return finish(iter + 1, false);
     }
-    out.near_singular |= lu.near_singular;
     // Voltage limiting: cap per-iteration node-voltage moves to keep the
     // linearization honest. The cap decays after a grace period and any
     // node whose update flips sign is damped, which breaks the limit

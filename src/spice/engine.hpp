@@ -3,16 +3,22 @@
 // transient analysis with a per-step retry ladder (NR budget boost ->
 // backward-Euler step -> timestep reduction).
 //
-// Cells characterized here are small (tens of nodes), so the linear solves
-// use dense LU with partial pivoting; a full SoC is never simulated at the
-// transistor level (that is what the gate-level STA/power tools are for).
+// Two linear-solver cores sit behind one factor-and-solve seam: dense LU
+// with partial pivoting for cell-scale systems (every catalog cell, and so
+// every committed Liberty artifact), and the CSC sparse LU of sparse.hpp
+// for block-scale netlists (SRAM columns, replicated nets). A full SoC is
+// never simulated at the transistor level (that is what the gate-level
+// STA/power tools are for).
 //
-// Hot-path structure: every NR solve stamps the linear skeleton of the MNA
-// system (resistors, capacitor companions, source rows) exactly once into a
+// Hot-path structure: the constructor lists every matrix entry once, in
+// one fixed stamp order. Each core maps entry k to a flat index into its
+// value array (a row-major offset, or a CSC value slot), so one stamp pass
+// and one NR loop serve both. Every NR solve stamps the linear skeleton
+// (resistors, capacitor companions, source rows) exactly once into a
 // SolveContext, then each NR iteration memcpy's the skeleton back and
-// restamps only the MOSFET conductances through a precomputed stamp-slot
-// index list. All solver workspaces live in the SolveContext, so a warm
-// transient performs zero heap allocations in its step loop.
+// restamps only the MOSFET conductances and the gmin diagonal. All solver
+// workspaces live in the SolveContext, so a warm transient performs zero
+// heap allocations in its step loop.
 #pragma once
 
 #include <algorithm>
@@ -67,7 +73,8 @@ class SolveContext {
   friend class Engine;
 
   // Grows `v` to `size` elements, counting real reallocations.
-  void grow(std::vector<double>& v, std::size_t size) {
+  template <class T>
+  void grow(std::vector<T>& v, std::size_t size) {
     if (v.capacity() < size) ++allocations_;
     v.resize(size);
   }
@@ -119,7 +126,9 @@ class SolveContext {
   // here so pooled contexts keep the symbolic work and the grown buffers
   // across engines. sparse_owner_ tags which Engine the symbolic state
   // belongs to; an engine finding someone else's tag re-analyzes.
+  // sparse_slot_ is sparse_lu_.slot_of() widened to the dense map's type.
   sparse::SparseLu sparse_lu_;
+  std::vector<std::size_t> sparse_slot_;
   std::uint64_t sparse_owner_ = 0;
   std::uint64_t allocations_ = 0;
 };
@@ -234,7 +243,8 @@ class Engine {
   // implementation, kept verbatim). The golden suite asserts the
   // incremental path is bit-identical to it, and perf_microbench uses it
   // as the recorded baseline for the NR-throughput gate. Step selection is
-  // unchanged by this flag, so traces are directly comparable.
+  // unchanged by this flag, so traces are directly comparable. Forces the
+  // dense core.
   void set_reference_stamping(bool on) { reference_stamping_ = on; }
 
   // Linear-solver selection. kAuto switches from dense LU to the sparse
@@ -242,21 +252,18 @@ class Engine {
   // below it (so the characterizer's arithmetic — and the committed
   // Liberty artifacts — are untouched by this seam), while block-level
   // netlists (SRAM columns, replicated nets, chained paths) go sparse.
+  // kDense is the oracle any sparse result can be cross-checked against:
+  // the exact arithmetic the golden suite pins.
   static constexpr std::size_t kSparseAutoThreshold = 64;
   void set_solver(LinearSolver solver) { solver_ = solver; }
   // The path a solve on this engine will actually take.
   LinearSolver effective_solver() const {
-    if (reference_solver_ || reference_stamping_) return LinearSolver::kDense;
+    if (reference_stamping_) return LinearSolver::kDense;
     if (solver_ == LinearSolver::kAuto)
       return dim_ >= kSparseAutoThreshold ? LinearSolver::kSparse
                                           : LinearSolver::kDense;
     return solver_;
   }
-
-  // Dense oracle: forces the dense LU path (kept verbatim) regardless of
-  // set_solver, so any sparse-path result can be cross-checked against
-  // the exact arithmetic the golden suite pins.
-  void set_reference_solver(bool on) { reference_solver_ = on; }
 
   // Replays the seed step controller verbatim — including the
   // breakpoint-clipping feedback bug and the per-step bookkeeping copies —
@@ -299,48 +306,31 @@ class Engine {
     bool near_singular = false;  // LU flagged an ill-conditioned pivot
   };
 
-  // Precomputed flat stamp slots of one MOSFET: the six A-matrix entries
-  // of the Norton linearization, the two z entries, and the x indices of
-  // the gate/drain/source voltages. kDropped marks ground rows/columns.
+  // Slot-map value of an entry that lands on a ground row or column. The
+  // sparse core's kNoSlot (-1) widens to exactly this value.
   static constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
-  struct MosStamp {
-    std::size_t a_dg, a_dd, a_ds, a_sg, a_sd, a_ss;
-    std::size_t z_d, z_s;
-    std::size_t x_g, x_d, x_s;  // kDropped means the terminal is ground
-  };
 
   // Stamps the linear skeleton — resistors, capacitor companions, source
-  // rows — into zeroed a/z. Everything here is constant across the NR
-  // iterations of one solve. gmin is NOT part of the skeleton: it must be
-  // added after the MOSFET stamps to preserve the historical per-entry
-  // accumulation order (diagonal entries sum resistor + cap + MOSFET +
-  // gmin contributions in exactly that order, so results stay
-  // bit-identical to the full-rebuild reference).
+  // rows — into zeroed a/z, each matrix entry through `slot` (the active
+  // core's entry map). Everything here is constant across the NR
+  // iterations of one solve. The MOSFET and gmin entries are added per
+  // iteration, after the skeleton, which preserves the historical
+  // per-entry accumulation order (diagonal entries sum resistor + cap +
+  // MOSFET + gmin contributions in exactly that order, so dense results
+  // stay bit-identical to the full-rebuild reference).
   void build_linear(const SolveSetup& setup,
                     const std::vector<CapState>& caps,
+                    const std::vector<std::size_t>& slot,
                     std::vector<double>& a, std::vector<double>& z) const;
 
-  // Restamps the MOSFET conductances linearized around x_prev through the
-  // precomputed slot list.
+  // Restamps the MOSFET conductances linearized around x_prev.
   void stamp_mosfets(const std::vector<double>& x_prev,
+                     const std::vector<std::size_t>& slot,
                      std::vector<double>& a, std::vector<double>& z) const;
 
-  // Sparse-core analogues: the same stamps routed through the CSC
-  // value-slot map instead of flat dense offsets. ensure_sparse()
-  // (re)builds the context's pattern + ordering when this engine does not
-  // own the context's symbolic state.
+  // (Re)builds the context's sparse pattern, ordering and slot map from
+  // entries_ when this engine does not own the context's symbolic state.
   void ensure_sparse() const;
-  void build_linear_sparse(const SolveSetup& setup,
-                           const std::vector<CapState>& caps,
-                           std::vector<double>& vals,
-                           std::vector<double>& z) const;
-  void stamp_mosfets_sparse(const std::vector<double>& x_prev,
-                            std::vector<double>& vals,
-                            std::vector<double>& z) const;
-  NrOutcome solve_nonlinear_sparse(std::vector<double>& x,
-                                   const SolveSetup& setup,
-                                   const std::vector<CapState>& caps,
-                                   const TranOptions& options) const;
 
   // Reference full rebuild (the historical Engine::build), used by the
   // reference stamping mode only.
@@ -350,7 +340,7 @@ class Engine {
                        std::vector<double>& a,
                        std::vector<double>& z) const;
 
-  // Solves the NR loop; x in/out.
+  // Solves the NR loop on the effective core; x in/out.
   NrOutcome solve_nonlinear(std::vector<double>& x, const SolveSetup& setup,
                             const std::vector<CapState>& caps,
                             const TranOptions& options) const;
@@ -372,12 +362,18 @@ class Engine {
   std::size_t n_nodes_;
   std::size_t n_sources_;
   std::size_t dim_;
-  std::vector<MosStamp> mos_stamps_;
+  // Every matrix entry the stamps touch, listed once in stamp order:
+  // resistors (4 each), capacitors (4), source rows (4), MOSFETs (6), then
+  // the per-node gmin diagonal. Ground rows/columns are negative. This is
+  // the coordinate list the sparse core analyzes.
+  std::vector<sparse::Coord> entries_;
+  std::size_t mos_begin_ = 0;  // index of the first MOSFET entry
+  // The dense core's entry map: entries_[k] -> row-major offset.
+  std::vector<std::size_t> dense_slot_;
   SolveContext owned_ctx_;
   SolveContext* ctx_;  // owned_ctx_ or a caller-shared context
   std::uint64_t engine_id_;  // sparse symbolic-state owner tag
   LinearSolver solver_ = LinearSolver::kAuto;
-  bool reference_solver_ = false;
   bool reference_stamping_ = false;
   bool reference_step_control_ = false;
   SolveDiagnostics last_diag_;

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "charlib/characterizer.hpp"
 #include "core/error.hpp"
+#include "core/flow.hpp"
 #include "device/modelcard.hpp"
 #include "liberty/liberty.hpp"
 #include "obs/metrics.hpp"
@@ -376,6 +382,39 @@ TEST(Characterizer, QuarantineOrderingIsThreadCountInvariant) {
   ASSERT_EQ(first_quarantine.size(), 2u);
   EXPECT_EQ(first_quarantine[0], "INV_BROKEN_A:A_rise->Z_fall");
   EXPECT_EQ(first_quarantine[1], "INV_BROKEN_B:A_rise->Z_fall");
+}
+
+TEST(Characterizer, CommittedLibrariesReproduceByteForByte) {
+  // Anchors the committed artifacts: a fresh characterization of a
+  // combinational, a SLVT, a flip-flop and a latch cell with the golden
+  // modelcards and default options must render the same Liberty text as
+  // those cells' slice of lib/cryo5_{300k,10k}.lib. Artifact manifests
+  // only match input fingerprints, so this is the check that a solver
+  // change left the committed numbers where they are.
+  const std::vector<std::string> names = {"INV_X1", "NAND2_X2_SLVT", "DFF_X1",
+                                          "LATCH_X1"};
+  std::vector<cells::CellDef> defs;
+  for (const cells::CellDef& def : cells::standard_cells())
+    if (std::find(names.begin(), names.end(), def.name) != names.end())
+      defs.push_back(def);
+  ASSERT_EQ(defs.size(), names.size());
+
+  for (const auto& [temperature, file] :
+       {std::pair{300.0, "cryo5_300k.lib"}, std::pair{10.0, "cryo5_10k.lib"}}) {
+    Library committed =
+        liberty::read_file(core::default_lib_dir() + "/" + file);
+    std::vector<CellChar> slice;
+    for (const cells::CellDef& def : defs)
+      slice.push_back(committed.at(def.name));
+    committed.cells = std::move(slice);
+
+    CharOptions opt;
+    opt.temperature = temperature;
+    Characterizer ch(device::golden_nmos(), device::golden_pmos(), opt);
+    EXPECT_EQ(liberty::write(ch.characterize_all(defs, committed.name)),
+              liberty::write(committed))
+        << file;
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -386,6 +387,87 @@ TEST(ObsReport, BenchReportMatchesSchema) {
     EXPECT_NE(text.find(field), std::string::npos) << field;
 
   fs::remove_all(dir, ec);
+}
+
+TEST(ObsJson, BothRenderingsArePinned) {
+  // One document holding every value kind, both empty containers, string
+  // escapes and embedded raw text, rendered both ways. The literals pin
+  // the bytes consumers see: BenchReport files use dump(), cryosocd's
+  // NDJSON lines dump_line().
+  obs::Json doc = obs::Json::object();
+  doc["null"] = obs::Json();
+  doc["yes"] = true;
+  doc["no"] = false;
+  doc["int"] = -42;
+  doc["pi"] = 3.14159265358979;
+  doc["tiny"] = 1e-300;
+  doc["whole"] = 2.0;
+  doc["text"] = std::string("q\"b\\n\nt\tc\x01");
+  doc["raw"] = obs::Json::raw("{\"pre\":[1,2]}");
+  doc["empty_array"] = obs::Json::array();
+  doc["empty_object"] = obs::Json::object();
+  obs::Json& list = doc["list"];
+  list.push_back(1);
+  list.push_back("two");
+  obs::Json& inner = list.push_back(obs::Json::object());
+  inner["k"] = 0.5;
+  inner["nested"].push_back(obs::Json::array());
+
+  EXPECT_EQ(doc.dump(),
+            "{\n"
+            "  \"null\": null,\n"
+            "  \"yes\": true,\n"
+            "  \"no\": false,\n"
+            "  \"int\": -42,\n"
+            "  \"pi\": 3.14159265359,\n"
+            "  \"tiny\": 1e-300,\n"
+            "  \"whole\": 2,\n"
+            "  \"text\": \"q\\\"b\\\\n\\nt\\tc\\u0001\",\n"
+            "  \"raw\": {\"pre\":[1,2]},\n"
+            "  \"empty_array\": [],\n"
+            "  \"empty_object\": {},\n"
+            "  \"list\": [\n"
+            "    1,\n"
+            "    \"two\",\n"
+            "    {\n"
+            "      \"k\": 0.5,\n"
+            "      \"nested\": [\n"
+            "        []\n"
+            "      ]\n"
+            "    }\n"
+            "  ]\n"
+            "}");
+  EXPECT_EQ(doc.dump_line(),
+            "{\"null\":null,\"yes\":true,\"no\":false,\"int\":-42,"
+            "\"pi\":3.14159265359,\"tiny\":1e-300,\"whole\":2,"
+            "\"text\":\"q\\\"b\\\\n\\nt\\tc\\u0001\","
+            "\"raw\":{\"pre\":[1,2]},\"empty_array\":[],\"empty_object\":{},"
+            "\"list\":[1,\"two\",{\"k\":0.5,\"nested\":[[]]}]}");
+  EXPECT_TRUE(JsonChecker(doc.dump()).valid());
+  EXPECT_TRUE(JsonChecker(doc.dump_line()).valid());
+}
+
+TEST(ObsJson, NonFiniteNumbersRenderAsNull) {
+  // %.12g would print nan/inf, which no JSON parser accepts.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {nan, inf, -inf}) {
+    EXPECT_EQ(obs::Json(v).dump(), "null") << v;
+    EXPECT_EQ(obs::Json(v).dump_line(), "null") << v;
+  }
+  obs::Json doc = obs::Json::object();
+  doc["nan"] = nan;
+  doc["inf"].push_back(inf);
+  EXPECT_EQ(doc.dump_line(), "{\"nan\":null,\"inf\":[null]}");
+  EXPECT_TRUE(JsonChecker(doc.dump()).valid());
+
+  // The registry snapshot renders gauges through its own number text.
+  obs::Gauge& gauge = obs::registry().gauge("test.nan_gauge");
+  gauge.set(nan);
+  const std::string json = obs::registry().snapshot_json();
+  gauge.reset();
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NE(json.find("\"test.nan_gauge\": null"), std::string::npos);
 }
 
 TEST(ObsReport, DestructorWritesIfWriteNotCalled) {

@@ -283,7 +283,7 @@ TEST(SparseParity, HostileDcMatchesDenseOracle) {
   Circuit c = hostile_circuit();
 
   Engine dense(c);
-  dense.set_reference_solver(true);
+  dense.set_solver(LinearSolver::kDense);
   ASSERT_EQ(dense.effective_solver(), LinearSolver::kDense);
   TranOptions opt;
   opt.max_nr_iterations = 4;  // walk the full ladder through both cores
@@ -318,7 +318,7 @@ TEST_P(SparseParityTran, SwitchingCellTracesMatchDenseOracle) {
   opt.t_stop = 200e-12;
 
   Engine dense(c);
-  dense.set_reference_solver(true);
+  dense.set_solver(LinearSolver::kDense);
   const auto rd = dense.transient(opt);
 
   Engine sp(c);
@@ -372,7 +372,7 @@ TEST(SparseBlockScale, AutoCrossoverPicksSparseAndMatchesDenseOracle) {
   EXPECT_GT(obs::registry().gauge("spice.fill_nnz").value(), 0.0);
 
   Engine dense(c);
-  dense.set_reference_solver(true);
+  dense.set_solver(LinearSolver::kDense);
   ASSERT_EQ(dense.effective_solver(), LinearSolver::kDense);
   const auto xd = dense.dc_operating_point(0.0, opt);
 
