@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "core/flow.hpp"
@@ -18,6 +19,16 @@ inline void header(const std::string& what, const std::string& paper_ref) {
   std::printf("%s\n", what.c_str());
   std::printf("reproduces: %s\n", paper_ref.c_str());
   std::printf("==============================================================\n");
+}
+
+// Quick mode, for CI smoke runs: CRYOSOC_BENCH_QUICK set to anything but
+// empty or "0" selects each bench's small catalog / short window.
+inline bool quick() {
+  static const bool on = [] {
+    const char* v = std::getenv("CRYOSOC_BENCH_QUICK");
+    return v && *v && *v != '0';
+  }();
+  return on;
 }
 
 // Standardized machine-readable output: every bench writes

@@ -5,13 +5,16 @@
 // activity factors for power signoff; this bench quantifies how much the
 // measured workload actually moves the dynamic number at both corners.
 //
+// Gates: two extractions of the same deck fingerprint identically, the
+// event throughput stays above a floor, and both power numbers are
+// positive at both corners; the exit status is nonzero if any fails.
 // CRYOSOC_BENCH_QUICK=1 shrinks the simulated window for CI smoke runs.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.hpp"
 #include "gatesim/activity.hpp"
+#include "obs/metrics.hpp"
 #include "riscv/workloads.hpp"
 
 int main() {
@@ -19,10 +22,7 @@ int main() {
   bench::header("gatesim_events: event-driven simulation & measured power",
                 "paper Sec. VI-B (measured switching activity)");
   auto report = bench::make_report("gatesim_events");
-  const bool quick = [] {
-    const char* env = std::getenv("CRYOSOC_BENCH_QUICK");
-    return env && env[0] != '\0' && env[0] != '0';
-  }();
+  const bool quick = bench::quick();
   const std::size_t window = quick ? 150 : 1500;
 
   // ISS retire trace for the Dhrystone-like general-average workload.
@@ -72,6 +72,13 @@ int main() {
   report.results()["events_per_sec"] = events_per_sec;
   report.results()["deterministic"] = deterministic;
   report.results()["quick"] = quick;
+  report.gate("deterministic", deterministic, "==", 1);
+  report.gate("events", act.events, ">", 0);
+  report.gate("window_cycles", act.cycles, ">", 0);
+  // Quick runs measure ~1.5M events/s on a 4-vCPU host; the floor leaves
+  // a wide margin for runner noise and still catches an O(n^2) queue
+  // regression.
+  report.gate("events_per_sec", events_per_sec, ">=", 20000);
 
   // -- Measured vs uniform dynamic power at both corners ----------------
   const auto profile = bench::flow().activity_from_perf(perf, f);
@@ -89,15 +96,28 @@ int main() {
     std::printf("%-8.0f %13.2f mW %13.2f mW %9.3f mW %8.1f %%\n", t,
                 uniform.dynamic() * 1e3, measured.dynamic() * 1e3,
                 measured.dynamic_glitch * 1e3, delta);
-    auto& r = report.results()[t > 100 ? "power_300k" : "power_10k"];
+    const std::string name = t > 100 ? "power_300k" : "power_10k";
+    auto& r = report.results()[name];
     r["dynamic_uniform_mw"] = uniform.dynamic() * 1e3;
     r["dynamic_measured_mw"] = measured.dynamic() * 1e3;
     r["dynamic_glitch_mw"] = measured.dynamic_glitch * 1e3;
     r["delta_percent"] = delta;
+    report.gate(name + ".dynamic_measured_mw", measured.dynamic() * 1e3, ">",
+                0);
+    report.gate(name + ".dynamic_uniform_mw", uniform.dynamic() * 1e3, ">",
+                0);
   }
   std::printf("\nmeasured activity replaces the uniform per-unit toggle\n"
               "factors with per-net rates from the simulated instruction\n"
               "stream; the glitch column is inertially cancelled pulses\n"
               "booked at half-swing energy.\n");
-  return deterministic ? 0 : 1;
+
+  // The registry's final totals must have seen both extractions (the
+  // construction-time settles may cancel more glitches).
+  report.gate("counters.gatesim.events",
+              obs::registry().counter("gatesim.events").value(), ">", 0);
+  report.gate("counters.gatesim.glitches_cancelled",
+              obs::registry().counter("gatesim.glitches_cancelled").value(),
+              ">=", act.glitches + act2.glitches);
+  return report.exit_code();
 }

@@ -10,16 +10,16 @@
 // ROADMAP item 5's continuous-temperature claim — a dense fmax-vs-T sweep
 // is only as trustworthy as the interpolation between its anchors.
 //
-// Gates (hard failures, also enforced by the CI bench-smoke job):
+// Gates (BenchReport::gate; the exit status is nonzero if any fails):
 //  - held-out max relative DELAY error <= 5% on every anchor interval,
 //  - an anchor-temperature synthesis reproduces the anchor exactly,
-//  - out-of-span requests clamp and count on interp.extrapolations.
+//  - out-of-span requests clamp and count on interp.extrapolations,
+//  - exactly one characterization per anchor and per held-out midpoint.
 //
-// CRYOSOC_INTERP_QUICK=1 / CRYOSOC_BENCH_QUICK=1: tiny INV+NAND2 catalog
-// for CI smoke; the full run uses the five-base probe catalog.
+// CRYOSOC_BENCH_QUICK=1: tiny INV+NAND2 catalog for CI smoke; the full
+// run uses the five-base probe catalog.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,11 +34,6 @@
 namespace {
 
 using namespace cryo;
-
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v && *v && *v != '0';
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -76,8 +71,7 @@ int main() {
   bench::header("interp_accuracy: held-out interpolated-library validation",
                 "temperature-continuum NLDM (ROADMAP item 5)");
   auto report = bench::make_report("interp_accuracy");
-  const bool quick =
-      env_flag("CRYOSOC_INTERP_QUICK") || env_flag("CRYOSOC_BENCH_QUICK");
+  const bool quick = bench::quick();
 
   cells::CatalogOptions copt;
   copt.only_bases = quick ? std::vector<std::string>{"INV", "NAND2"}
@@ -94,7 +88,7 @@ int main() {
   // on the full catalog; the 40 K anchor brings every interval under the
   // 5% bound.
   const std::vector<double> anchor_temps = {10.0, 40.0, 77.0, 150.0, 300.0};
-  int failures = 0;
+  const double delay_error_bound = 0.05;
 
   // ---- characterize anchors ---------------------------------------------
   auto& runs = obs::registry().counter("charlib.runs");
@@ -131,37 +125,32 @@ int main() {
     held_out.push_back(delta_json(t, delta));
     worst_delay_rel = std::max(worst_delay_rel, delta.max_delay_rel);
     worst_rel = std::max(worst_rel, delta.max_rel);
-    if (delta.max_delay_rel > 0.05) {
-      std::printf("FAIL: held-out delay error %.4f at %.1f K exceeds the "
-                  "5%% bound\n",
-                  delta.max_delay_rel, t);
-      ++failures;
-    }
+    char name[48];
+    std::snprintf(name, sizeof name, "held_out.%gK.max_delay_rel", t);
+    report.gate(name, delta.max_delay_rel, "<=", delay_error_bound);
   }
 
   // ---- anchor reproduction + clamp behavior -------------------------------
   const auto anchor_delta =
       liberty::compare_libraries(*anchors.back(), interp.at(300.0));
-  if (anchor_delta.max_rel != 0.0) {
-    std::printf("FAIL: anchor-temperature synthesis deviates from the "
-                "anchor (max_rel %.3g)\n",
-                anchor_delta.max_rel);
-    ++failures;
-  }
+  report.gate("anchor_reproduction.max_rel", anchor_delta.max_rel, "==", 0);
   auto& extrapolations = obs::registry().counter("interp.extrapolations");
   const auto extrap0 = extrapolations.value();
   const auto clamped =
       liberty::compare_libraries(*anchors.front(), interp.at(4.0));
-  if (extrapolations.value() - extrap0 != 1 || clamped.max_rel != 0.0) {
-    std::printf("FAIL: out-of-span request did not clamp-with-counter\n");
-    ++failures;
-  }
+  report.gate("extrapolation.count", extrapolations.value() - extrap0, "==",
+              1);
+  report.gate("extrapolation.clamped_max_rel", clamped.max_rel, "==", 0);
 
   const auto characterizations = runs.value() - runs0;
-  std::printf("\nworst held-out delay error: %.4f (bound 0.05); "
+  std::printf("\nworst held-out delay error: %.4f (bound %g); "
               "%llu characterizations total\n",
-              worst_delay_rel,
+              worst_delay_rel, delay_error_bound,
               static_cast<unsigned long long>(characterizations));
+  // Characterization budget: each anchor plus one held-out midpoint per
+  // interval, nothing else.
+  report.gate("characterizations", characterizations, "==",
+              2 * anchor_temps.size() - 1);
 
   report.results()["cells"] = defs.size();
   obs::Json anchors_json = obs::Json::array();
@@ -175,6 +164,5 @@ int main() {
       anchor_delta.max_rel == 0.0;
   report.results()["extrapolation_clamped"] = clamped.max_rel == 0.0;
   report.results()["characterizations"] = characterizations;
-  report.results()["delay_error_bound"] = 0.05;
-  return failures == 0 ? 0 : 1;
+  return report.exit_code();
 }

@@ -15,18 +15,22 @@
 //     zero characterizations; throughput and per-kind p50/p95/p99 come
 //     from the serve.latency.<kind> histograms.
 //
-// Quick mode (--quick or CRYOSOC_BENCH_QUICK=1): tiny INV+NAND2 catalog
-// in a scratch store and the SoC-free kinds (leakage / sram / sweep), for
-// CI smoke. Full mode uses the committed artifacts and adds timing +
-// power queries. Output: bench-out/BENCH_serve_load.json
-// (cryosoc-bench-v1).
+// Only ok responses count as completed; both phases record the failed
+// ones and gate them at zero. The exit status is nonzero if any gate
+// fails.
+//
+// Quick mode (CRYOSOC_BENCH_QUICK=1): tiny INV+NAND2 catalog in a scratch
+// store and the SoC-free kinds (leakage / sram / sweep), for CI smoke.
+// Full mode uses the committed artifacts and adds timing + power queries.
+// Output: bench-out/BENCH_serve_load.json (cryosoc-bench-v1).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -37,11 +41,6 @@
 namespace {
 
 using namespace cryo;
-
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v && *v && *v != '0';
-}
 
 std::uint64_t counter(const char* name) {
   return obs::registry().counter(name).value();
@@ -56,6 +55,9 @@ core::CryoSocFlow make_flow(bool quick) {
     config.catalog.extra_drives_common = {};
     config.catalog.include_slvt = false;
     config.lib_dir = obs::BenchReport::output_dir() + "/serve-lib-quick";
+    // Start from an empty store so the storm corner is cold on every run.
+    std::error_code ec;
+    std::filesystem::remove_all(config.lib_dir, ec);
   }
   return core::CryoSocFlow(config);
 }
@@ -88,11 +90,8 @@ std::vector<serve::FlowRequest> make_mix(bool quick) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool quick = env_flag("CRYOSOC_BENCH_QUICK");
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-
+int main() {
+  const bool quick = bench::quick();
   bench::header("serve_load: open-loop load on the FlowService corner server",
                 "flow-as-a-service: coalescing + tail latency under load");
   auto report = bench::make_report("serve_load");
@@ -106,11 +105,11 @@ int main(int argc, char** argv) {
   // ---- phase A: cold-corner storm ---------------------------------------
   obs::registry().reset();
   const std::size_t storm_n = 32;
-  // Quick mode characterizes the tiny catalog at an off-grid corner in a
-  // scratch store (always cold); full mode storms 77 K, characterizing
-  // the full catalog once ever (the artifact persists across runs, so
-  // only the first full run pays it — still exactly one charlib run
-  // in-process when cold, zero when the artifact exists).
+  // Quick mode characterizes the tiny catalog at an off-grid corner in an
+  // emptied scratch store (always cold); full mode storms 77 K,
+  // characterizing the full catalog once ever (the artifact persists
+  // across runs, so only the first full run pays it — still exactly one
+  // charlib run in-process when cold, zero when the artifact exists).
   const core::Corner storm_corner =
       quick ? core::Corner{0.7, 150.0, ""} : flow.corner(77.0);
   {
@@ -127,10 +126,13 @@ int main(int argc, char** argv) {
       futures.push_back(service.submit(serve::leakage_request(
           storm_corner, "storm-" + std::to_string(i))));
     all_submitted.set_value();
-    for (auto& f : futures)
-      if (!f.get().ok)
-        std::fprintf(stderr, "storm response failed: %s\n",
-                     f.get().error.c_str());
+    std::size_t failed = 0;
+    for (auto& f : futures) {
+      if (f.get().ok) continue;
+      ++failed;
+      std::fprintf(stderr, "storm response failed: %s\n",
+                   f.get().error.c_str());
+    }
     const double storm_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -139,6 +141,7 @@ int main(int argc, char** argv) {
     report.results()["storm"]["executed"] = counter("serve.executed");
     report.results()["storm"]["coalesced"] = counter("serve.coalesced");
     report.results()["storm"]["characterizations"] = counter("charlib.runs");
+    report.results()["storm"]["failed"] = failed;
     report.results()["storm"]["seconds"] = storm_s;
     std::printf("\nstorm: %zu requests -> %llu executed, %llu coalesced, "
                 "%llu characterization(s) in %.3fs\n",
@@ -147,6 +150,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(counter("serve.coalesced")),
                 static_cast<unsigned long long>(counter("charlib.runs")),
                 storm_s);
+    // 32 requests: one execution and 31 joiners. The quick store is always
+    // cold, so exactly one characterization; a full run characterizes
+    // only if the 77 K artifact does not exist yet.
+    report.gate("storm.executed", counter("serve.executed"), "==", 1);
+    report.gate("storm.coalesced", counter("serve.coalesced"), "==", 31);
+    report.gate("storm.characterizations", counter("charlib.runs"),
+                quick ? "==" : "<=", 1);
+    report.gate("storm.failed", failed, "==", 0);
   }
 
   // ---- phase B: warm open-loop mix --------------------------------------
@@ -183,47 +194,78 @@ int main(int argc, char** argv) {
       ++rejected;  // backpressure is a measured outcome, not a crash
     }
   }
-  for (auto& f : futures)
-    if (!f.get().ok)
+  std::size_t completed = 0;
+  for (auto& f : futures) {
+    if (f.get().ok)
+      ++completed;
+    else
       std::fprintf(stderr, "warm response failed: %s\n", f.get().error.c_str());
+  }
+  const std::size_t failed = futures.size() - completed;
   const double warm_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
   const double throughput =
-      static_cast<double>(futures.size()) / (warm_s > 0.0 ? warm_s : 1.0);
+      static_cast<double>(completed) / (warm_s > 0.0 ? warm_s : 1.0);
   report.results()["warm"]["requests"] = warm_n;
-  report.results()["warm"]["completed"] = futures.size();
+  report.results()["warm"]["completed"] = completed;
+  report.results()["warm"]["failed"] = failed;
   report.results()["warm"]["rejected"] = rejected;
   report.results()["warm"]["seconds"] = warm_s;
   report.results()["warm"]["throughput_rps"] = throughput;
   report.results()["warm"]["characterizations"] = counter("charlib.runs");
   report.results()["warm"]["coalesced"] = counter("serve.coalesced");
 
-  std::printf("warm: %zu requests in %.3fs (%.0f req/s), "
+  std::printf("warm: %zu completed, %zu failed in %.3fs (%.0f req/s), "
               "%llu characterization(s), %llu coalesced, %llu rejected\n",
-              futures.size(), warm_s, throughput,
+              completed, failed, warm_s, throughput,
               static_cast<unsigned long long>(counter("charlib.runs")),
               static_cast<unsigned long long>(counter("serve.coalesced")),
               static_cast<unsigned long long>(rejected));
+  report.gate("warm.characterizations", counter("charlib.runs"), "==", 0);
+  report.gate("warm.failed", failed, "==", 0);
+  // Nothing may be lost: every request completes or is a counted rejection.
+  report.gate("warm.completed_plus_rejected", completed + rejected, "==",
+              warm_n);
+  report.gate("warm.completed", completed, ">", 0);
+  report.gate("warm.throughput_rps", throughput, ">", 0);
+
   std::printf("\n%-14s %8s %10s %10s %10s\n", "kind", "count", "p50_ms",
               "p95_ms", "p99_ms");
+  std::size_t kinds = 0;
+  std::uint64_t executions = 0;
   for (const serve::QueryKind kind : serve::kAllQueryKinds) {
-    obs::Histogram& h = obs::registry().histogram(
-        std::string("serve.latency.") + serve::kind_name(kind));
+    const std::string name = serve::kind_name(kind);
+    obs::Histogram& h = obs::registry().histogram("serve.latency." + name);
     if (h.count() == 0) continue;
-    std::printf("%-14s %8llu %10.4f %10.4f %10.4f\n",
-                serve::kind_name(kind),
+    ++kinds;
+    executions += h.count();
+    const std::pair<const char*, double> quantiles[] = {
+        {"p50_s", h.quantile(0.5)},
+        {"p95_s", h.quantile(0.95)},
+        {"p99_s", h.quantile(0.99)},
+        {"max_s", h.max_value()}};
+    std::printf("%-14s %8llu %10.4f %10.4f %10.4f\n", name.c_str(),
                 static_cast<unsigned long long>(h.count()),
-                h.quantile(0.5) * 1e3, h.quantile(0.95) * 1e3,
-                h.quantile(0.99) * 1e3);
-    auto& kinds = report.results()["warm"]["kinds"][serve::kind_name(kind)];
-    kinds["count"] = h.count();
-    kinds["p50_s"] = h.quantile(0.5);
-    kinds["p95_s"] = h.quantile(0.95);
-    kinds["p99_s"] = h.quantile(0.99);
-    kinds["max_s"] = h.max_value();
+                quantiles[0].second * 1e3, quantiles[1].second * 1e3,
+                quantiles[2].second * 1e3);
+    auto& row = report.results()["warm"]["kinds"][name];
+    row["count"] = h.count();
+    // Tail latency is finite (the histogram clamps quantiles to the
+    // tracked max) and ordered: 0 <= p50 <= p95 <= p99 <= max.
+    double below = 0.0;
+    for (const auto& [q, seconds] : quantiles) {
+      row[q] = seconds;
+      report.gate("warm." + name + "." + q, seconds, ">=", below);
+      below = seconds;
+    }
   }
+  report.gate("warm.kinds", kinds, ">", 0);
+  // Joiners share an execution, so executions plus coalesced joins
+  // account for every completed request.
+  report.gate("warm.executions_plus_coalesced",
+              executions + counter("serve.coalesced"), "==", completed);
   report.write();
-  return 0;
+  return report.exit_code();
 }

@@ -14,13 +14,16 @@
 //
 // Grid size: CRYOSOC_SWEEP_CORNERS (2..20, default 4) walks a 5 vdd x 4
 // temperature grid, nominal-supply corners first — 2 gives exactly the
-// paper's degenerate two-corner case. CRYOSOC_SWEEP_QUICK=1 (or
-// CRYOSOC_BENCH_QUICK=1) switches to a tiny catalog + leakage-only
-// analyses in a scratch lib dir for CI smoke runs.
+// paper's degenerate two-corner case. CRYOSOC_BENCH_QUICK=1 switches to a
+// tiny catalog + leakage-only analyses in a scratch lib dir for CI smoke
+// runs. Every check is a BenchReport gate; the exit status is nonzero if
+// any gate fails.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -32,6 +35,7 @@
 #include "device/modelcard.hpp"
 #include "liberty/liberty.hpp"
 #include "obs/metrics.hpp"
+#include "serve/json.hpp"
 #include "sweep/sweep.hpp"
 
 namespace {
@@ -41,11 +45,6 @@ using namespace cryo;
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v && *v && *v != '0';
 }
 
 std::size_t grid_size() {
@@ -98,8 +97,7 @@ int main() {
                 "paper Tables 1-3 / Fig. 6 generalized to a V/T grid");
   auto report = bench::make_report("sweep_corners");
 
-  const bool quick =
-      env_flag("CRYOSOC_SWEEP_QUICK") || env_flag("CRYOSOC_BENCH_QUICK");
+  const bool quick = bench::quick();
   const std::size_t n_corners = grid_size();
   // The engine is measured at >= 4 workers even on smaller machines (the
   // scheduler time-slices; BenchReport records hardware_concurrency).
@@ -139,16 +137,13 @@ int main() {
                 stats.cycles_per_classification, stats.perf.ipc());
   }
 
-  int failures = 0;
-
   // ---- phase A0: uncached-corner characterization probe -----------------
   // The wall this bench exists to watch: a corner nobody has cached. A
   // fixed probe catalog is characterized from scratch at 1 thread and at
-  // 4 through the arc-parallel batched pipeline; the rendered Liberty
-  // text must be byte-identical (fingerprint — the bench's own hard
-  // gate), and CI additionally gates the speedup (>= 2x when the runner
-  // really has 4 hardware threads) plus the charlib.{tasks,
-  // ctx_pool_reuse, engine_reuse} counter deltas recorded here.
+  // 4 through the arc-parallel batched pipeline. Gates: the rendered
+  // Liberty text is byte-identical (fingerprint), the speedup is >= 2x
+  // when the host really has 4 hardware threads, and the charlib.{tasks,
+  // ctx_pool_reuse, engine_reuse} counter deltas recorded here all move.
   {
     cells::CatalogOptions copt;
     copt.only_bases = {"INV", "NAND2", "NOR2", "AOI21", "DFF"};
@@ -195,12 +190,17 @@ int main() {
     report.results()["charlib_ctx_pool_reuse_delta"] =
         ctx_reuse.value() - ctx0;
     report.results()["charlib_engine_reuse_delta"] = eng_reuse.value() - eng0;
-    if (fp_serial != fp_parallel) {
-      std::printf(
-          "FAIL: serial vs 4-thread Liberty fingerprints differ for the "
-          "uncached probe\n");
-      ++failures;
-    }
+    report.gate("uncached_fingerprints_identical", fp_serial == fp_parallel,
+                "==", 1);
+    report.gate("uncached_probe_cells", defs.size(), ">", 0);
+    report.gate("charlib_tasks_delta", tasks.value() - tasks0, ">", 0);
+    report.gate("charlib_ctx_pool_reuse_delta", ctx_reuse.value() - ctx0, ">",
+                0);
+    report.gate("charlib_engine_reuse_delta", eng_reuse.value() - eng0, ">",
+                0);
+    // Time-sliced hosts with fewer hardware threads cannot show it.
+    if (std::thread::hardware_concurrency() >= 4)
+      report.gate("uncached_speedup_4t", speedup, ">=", 2.0);
   }
 
   // ---- phase A: warm the artifact store ---------------------------------
@@ -322,37 +322,30 @@ int main() {
   report.results()["warm_cache_hits"] = warm_hits;
   report.results()["warm_cache_misses"] = warm_misses;
   report.results()["warm_charlib_runs"] = warm_charlib_runs;
-  report.results()["sweep"] = sweep::to_json(swept);
   (void)warm;
 
-  if (swept.failed != 0) {
-    std::printf("FAIL: %zu corner(s) reported errors\n", swept.failed);
-    ++failures;
-  }
-  if (cold_misses > request.corners.size()) {
-    std::printf("FAIL: cold run missed %llu times for %zu corners\n",
-                static_cast<unsigned long long>(cold_misses),
-                request.corners.size());
-    ++failures;
-  }
-  if (warm_charlib_runs != 0) {
-    std::printf("FAIL: warm re-run characterized %llu librar(ies)\n",
-                static_cast<unsigned long long>(warm_charlib_runs));
-    ++failures;
-  }
-  if (warm_hits < request.corners.size()) {
-    std::printf("FAIL: warm re-run hit the corner cache %llu times "
-                "(expected >= %zu)\n",
-                static_cast<unsigned long long>(warm_hits),
-                request.corners.size());
-    ++failures;
-  }
+  // The embedded cryosoc-sweep-v1 document, read back the way a consumer
+  // reads it: the right schema and one row per requested corner.
+  obs::Json sweep_doc = sweep::to_json(swept);
+  const serve::JsonValue parsed = serve::json_parse(sweep_doc.dump());
+  report.gate("sweep.schema_is_v1",
+              parsed.at("schema", "sweep").as_string("schema") ==
+                  "cryosoc-sweep-v1",
+              "==", 1);
+  report.gate("sweep.corners", parsed.at("corners", "sweep").items.size(),
+              "==", n_corners);
+  report.results()["sweep"] = std::move(sweep_doc);
+  // failed == 0 means every corner row is ok.
+  report.gate("failed", swept.failed, "==", 0);
+  report.gate("cold_cache_misses", cold_misses, "<=", n_corners);
+  report.gate("warm_charlib_runs", warm_charlib_runs, "==", 0);
+  report.gate("warm_cache_hits", warm_hits, ">=", n_corners);
 
   // ---- phase E: dense fmax-vs-T curve on interpolated libraries ---------
   // The continuous-temperature mode (ROADMAP item 5): 20 temperatures
   // across the 10..300 K span, served by piecewise-linear interpolation
   // between 4 characterized anchors. The whole curve must cost ZERO
-  // characterizations beyond the anchors (gated here and in CI).
+  // characterizations beyond the anchors (gated).
   {
     const std::vector<double> anchor_temps = {10.0, 77.0, 150.0, 300.0};
     core::FlowConfig iconfig;
@@ -407,23 +400,11 @@ int main() {
     report.results()["interp_seconds"] = interp_seconds;
     report.results()["interp_failed"] = curve.failed;
 
-    if (curve.failed != 0) {
-      std::printf("FAIL: interpolated sweep reported %zu corner error(s)\n",
-                  curve.failed);
-      ++failures;
-    }
-    if (anchor_runs > anchor_temps.size()) {
-      std::printf("FAIL: anchors characterized %llu times (expected <= %zu)\n",
-                  static_cast<unsigned long long>(anchor_runs),
-                  anchor_temps.size());
-      ++failures;
-    }
-    if (extra_runs != 0) {
-      std::printf("FAIL: dense T-grid characterized %llu librar(ies) beyond "
-                  "the anchors\n",
-                  static_cast<unsigned long long>(extra_runs));
-      ++failures;
-    }
+    report.gate("interp_points", points, ">=", 20);
+    report.gate("interp_failed", curve.failed, "==", 0);
+    report.gate("interp_anchor_charlib_runs", anchor_runs, "<=",
+                anchor_temps.size());
+    report.gate("interp_extra_charlib_runs", extra_runs, "==", 0);
   }
-  return failures == 0 ? 0 : 1;
+  return report.exit_code();
 }

@@ -35,7 +35,7 @@
 // Error-bound methodology: validation characterizes held-out temperatures
 // directly and reports the per-table maximum relative error of the
 // interpolated library against the direct one (compare_libraries below);
-// bench/interp_accuracy gates that bound in CI.
+// bench/interp_accuracy gates the delay bound (BenchReport::gate).
 #pragma once
 
 #include <memory>

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -158,11 +159,14 @@ std::string BenchReport::output_dir() {
 BenchReport::BenchReport(std::string name)
     : name_(std::move(name)),
       results_(Json::object()),
+      gates_(Json::array()),
       start_seconds_(steady_seconds()) {}
 
 BenchReport::BenchReport(BenchReport&& other) noexcept
     : name_(std::move(other.name_)),
       results_(std::move(other.results_)),
+      gates_(std::move(other.gates_)),
+      failed_(other.failed_),
       threads_(other.threads_),
       written_(other.written_),
       start_seconds_(other.start_seconds_) {
@@ -171,6 +175,31 @@ BenchReport::BenchReport(BenchReport&& other) noexcept
 
 BenchReport::~BenchReport() {
   if (!written_) write();
+}
+
+bool BenchReport::gate(const std::string& name, double value,
+                       const std::string& op, double bound) {
+  bool pass = false;
+  if (op == "==") pass = value == bound;
+  else if (op == "<") pass = value < bound;
+  else if (op == "<=") pass = value <= bound;
+  else if (op == ">") pass = value > bound;
+  else if (op == ">=") pass = value >= bound;
+  else throw std::invalid_argument("BenchReport::gate: unknown op '" + op +
+                                   "' in gate " + name);
+  pass = pass && std::isfinite(value);
+  failed_ = failed_ || !pass;
+
+  Json row = Json::object();
+  row["name"] = name;
+  row["value"] = value;
+  row["op"] = op;
+  row["bound"] = bound;
+  row["pass"] = pass;
+  gates_.push_back(std::move(row));
+  std::printf("gate %-4s %s = %.6g (%s %.6g)\n", pass ? "ok" : "FAIL",
+              name.c_str(), value, op.c_str(), bound);
+  return pass;
 }
 
 std::string BenchReport::write() {
@@ -190,6 +219,7 @@ std::string BenchReport::write() {
       std::max(1u, std::thread::hardware_concurrency());
   doc["git"] = git_describe();
   doc["results"] = std::move(results_);
+  doc["gates"] = std::move(gates_);
   doc["metrics"] = Json::raw(registry().snapshot_json());
 
   const std::filesystem::path dir = output_dir();

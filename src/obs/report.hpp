@@ -15,8 +15,16 @@
 //     "hardware_concurrency": <cores>,
 //     "git": "<git describe --always --dirty, or \"unknown\">",
 //     "results": { ...bench-specific numbers... },
+//     "gates": [ {"name", "value", "op", "bound", "pass"}, ... ],
 //     "metrics": { ...obs::Registry snapshot... }
 //   }
+//
+// A bench states each pass/fail check on its numbers once, as a gate:
+//
+//   report.gate("events_per_sec", events_per_sec, ">=", 20000);
+//   return report.exit_code();  // 1 iff any gate failed
+//
+// `gates` is an empty array in a bench that records none.
 //
 // Output directory: $CRYOSOC_BENCH_DIR, else ./bench-out (created on
 // demand). The destructor writes if write() was never called, so a bench
@@ -96,6 +104,16 @@ class BenchReport {
   // exec::thread_count(); defaults to hardware concurrency).
   void set_threads(unsigned threads) { threads_ = threads; }
 
+  // Checks `value op bound` (op is one of ==, <, <=, >, >=; anything else
+  // throws std::invalid_argument), appends {name, value, op, bound, pass}
+  // to the report's `gates` array, prints one line, and returns pass. A
+  // NaN or infinite value fails under every op. Call it before write().
+  bool gate(const std::string& name, double value, const std::string& op,
+            double bound);
+
+  // A bench's exit status: 1 if any gate failed, else 0.
+  int exit_code() const { return failed_ ? 1 : 0; }
+
   // Renders the report to <dir>/BENCH_<name>.json and returns the path.
   // Idempotent: the second call (or the destructor) is a no-op.
   std::string write();
@@ -106,6 +124,8 @@ class BenchReport {
  private:
   std::string name_;
   Json results_;
+  Json gates_;
+  bool failed_ = false;
   unsigned threads_ = 0;
   bool written_ = false;
   double start_seconds_ = 0.0;

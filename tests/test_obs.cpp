@@ -14,6 +14,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -373,7 +374,14 @@ TEST(ObsReport, BenchReportMatchesSchema) {
     report.results()["answer"] = 42;
     report.results()["nested"]["pi"] = 3.14;
     report.results()["list"].push_back(1).push_back(2);
-    const std::string path = report.write();
+    EXPECT_TRUE(report.gate("speedup", 2.5, ">=", 1.5));
+    EXPECT_EQ(report.exit_code(), 0);
+    EXPECT_FALSE(report.gate("failed_arcs", 3, "==", 0));
+    EXPECT_EQ(report.exit_code(), 1);
+    // A moved report keeps its gates (written below) and its verdict.
+    obs::BenchReport moved(std::move(report));
+    EXPECT_EQ(moved.exit_code(), 1);
+    const std::string path = moved.write();
     EXPECT_EQ(path, (dir / "BENCH_unit_test.json").string());
   }
 
@@ -385,6 +393,45 @@ TEST(ObsReport, BenchReportMatchesSchema) {
         "\"wall_seconds\"", "\"threads\"", "\"hardware_concurrency\"",
         "\"git\"", "\"results\"", "\"answer\"", "\"metrics\""})
     EXPECT_NE(text.find(field), std::string::npos) << field;
+  EXPECT_NE(text.find("  \"gates\": [\n"
+                      "    {\n"
+                      "      \"name\": \"speedup\",\n"
+                      "      \"value\": 2.5,\n"
+                      "      \"op\": \">=\",\n"
+                      "      \"bound\": 1.5,\n"
+                      "      \"pass\": true\n"
+                      "    },\n"
+                      "    {\n"
+                      "      \"name\": \"failed_arcs\",\n"
+                      "      \"value\": 3,\n"
+                      "      \"op\": \"==\",\n"
+                      "      \"bound\": 0,\n"
+                      "      \"pass\": false\n"
+                      "    }\n"
+                      "  ],\n"),
+            std::string::npos)
+      << text;
+
+  {
+    // A non-finite value fails whatever the op and bound; an op outside
+    // the five throws.
+    auto report = obs::BenchReport("unit_test_nonfinite");
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const char* op : {"==", "<", "<=", ">", ">="})
+      for (const double value : {std::nan(""), inf, -inf})
+        for (const double bound : {-inf, 0.0, inf})
+          EXPECT_FALSE(report.gate("x", value, op, bound))
+              << value << " " << op << " " << bound;
+    EXPECT_THROW(report.gate("x", 1.0, "!=", 0.0), std::invalid_argument);
+    EXPECT_EQ(report.exit_code(), 1);
+  }
+  {
+    auto report = obs::BenchReport("unit_test_ungated");
+    EXPECT_EQ(report.exit_code(), 0);
+  }
+  EXPECT_NE(read_file(dir / "BENCH_unit_test_ungated.json")
+                .find("  \"gates\": [],\n"),
+            std::string::npos);
 
   fs::remove_all(dir, ec);
 }
