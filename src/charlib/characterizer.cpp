@@ -117,16 +117,20 @@ Characterizer::Characterizer(device::ModelCard nmos, device::ModelCard pmos,
   for (double l : options_.loads)
     if (l <= 0.0)
       throw std::invalid_argument("Characterizer: loads must be positive");
-  // Tabulated currents for the four device variants (polarity x flavor).
-  for (int f = 0; f < 2; ++f) {
-    for (int p = 0; p < 2; ++p) {
-      device::ModelCard card = p == 0 ? nmos_ : pmos_;
-      card.NFIN = 1;
-      if (f == 1) card.PHIG += cells::kSlvtWorkFunctionDelta;
-      caches_[f * 2 + p] = std::make_shared<device::IdsCache>(
-          device::FinFet(card, options_.temperature));
-    }
-  }
+  // Tabulated currents for the four device variants (polarity x flavor),
+  // built concurrently: each table is a pure function of (modelcard, T),
+  // so the tables are the same at any thread count.
+  exec::parallel_for(
+      4,
+      [&](std::size_t i) {
+        const std::size_t f = i / 2, p = i % 2;
+        device::ModelCard card = p == 0 ? nmos_ : pmos_;
+        card.NFIN = 1;
+        if (f == 1) card.PHIG += cells::kSlvtWorkFunctionDelta;
+        caches_[i] = std::make_shared<device::IdsCache>(
+            device::FinFet(card, options_.temperature));
+      },
+      options_.threads);
 }
 
 spice::Circuit Characterizer::cell_circuit(

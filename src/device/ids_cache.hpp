@@ -15,6 +15,7 @@
 // multiplier before the lookup.
 #pragma once
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -31,15 +32,38 @@ class IdsCache {
   explicit IdsCache(const FinFet& reference);
 
   // Per-fin current for the normalized problem; callers must pass
-  // vds >= 0. Falls back to NaN outside the grid (FinFet then uses the
-  // analytic path).
-  double ids_per_fin(double vgs, double vds) const;
+  // vds >= 0. Outside the grid the lookup clamps to the edge cells and
+  // extrapolates, so callers check in_range() first (FinFet takes the
+  // analytic path outside it). Defined here so FinFet's three lookups per
+  // conductance evaluation inline.
+  double ids_per_fin(double vgs, double vds) const {
+    const double gi = (vgs - vgs_lo_) / step_;
+    const double gj = vds / step_;
+    const std::size_t i = static_cast<std::size_t>(gi < 0.0 ? 0.0 : gi);
+    const std::size_t j = static_cast<std::size_t>(gj < 0.0 ? 0.0 : gj);
+    const std::size_t i0 = i >= n_vgs_ - 1 ? n_vgs_ - 2 : i;
+    const std::size_t j0 = j >= n_vds_ - 1 ? n_vds_ - 2 : j;
+    const double ti = gi - static_cast<double>(i0);
+    const double tj = gj - static_cast<double>(j0);
+    const double v00 = logval_[i0 * n_vds_ + j0];
+    const double v01 = logval_[i0 * n_vds_ + j0 + 1];
+    const double v10 = logval_[(i0 + 1) * n_vds_ + j0];
+    const double v11 = logval_[(i0 + 1) * n_vds_ + j0 + 1];
+    const double lo = v00 * (1.0 - tj) + v01 * tj;
+    const double hi = v10 * (1.0 - tj) + v11 * tj;
+    const double logv = lo * (1.0 - ti) + hi * ti;
+    return std::exp(logv) * f_vds(vds);
+  }
 
   bool in_range(double vgs, double vds) const {
     return vgs >= vgs_lo_ && vgs <= vgs_hi_ && vds >= 0.0 && vds <= vds_hi_;
   }
 
  private:
+  // vds normalization: removes the linear zero at vds = 0 from the stored
+  // quantity so bilinear interpolation stays accurate in triode.
+  static double f_vds(double vds) { return vds / (vds + 0.02); }
+
   double vgs_lo_ = -0.35;
   double vgs_hi_ = 1.05;
   double vds_hi_ = 1.05;

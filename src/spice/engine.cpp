@@ -95,10 +95,23 @@ obs::Gauge& fill_nnz_gauge() {
   static obs::Gauge& g = obs::registry().gauge("spice.fill_nnz");
   return g;
 }
+// Dense-core accounting: one `dense_factorizations` per factor-and-solve,
+// one `dense_schedules` per elimination schedule recorded (the first per
+// engine, then one per pivot change; test_obs asserts it never scales
+// with NR iterations).
+obs::Counter& dense_factorizations_counter() {
+  static obs::Counter& c =
+      obs::registry().counter("spice.dense_factorizations");
+  return c;
+}
+obs::Counter& dense_schedules_counter() {
+  static obs::Counter& c = obs::registry().counter("spice.dense_schedules");
+  return c;
+}
 
-// Owner tags for SolveContext sparse state: each engine gets a process-
-// unique id, so a pooled context can tell "same engine, reuse the frozen
-// symbolic work" from "new engine, re-analyze".
+// Owner tags for SolveContext solver state: each engine gets a process-
+// unique id, so a pooled context can tell "same engine, reuse the
+// schedule or the frozen symbolic work" from "new engine, re-analyze".
 std::uint64_t next_engine_id() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -128,59 +141,6 @@ SolveError::SolveError(const std::string& context,
                        SolveDiagnostics diagnostics)
     : std::runtime_error(context + " [" + diagnostics.to_string() + "]"),
       diag_(std::move(diagnostics)) {}
-
-bool lu_solve(std::vector<double>& a, std::vector<double>& b, std::size_t n,
-              LuStats* stats) {
-  std::vector<double> scale;
-  return lu_solve(a, b, n, scale, stats);
-}
-
-bool lu_solve(std::vector<double>& a, std::vector<double>& b, std::size_t n,
-              std::vector<double>& scale, LuStats* stats) {
-  // Column scales from the matrix as given: the relative pivot test below
-  // catches ill-conditioned systems an absolute epsilon lets through.
-  if (scale.size() < n) scale.resize(n);
-  std::fill(scale.begin(), scale.begin() + static_cast<std::ptrdiff_t>(n),
-            0.0);
-  for (std::size_t row = 0; row < n; ++row)
-    for (std::size_t col = 0; col < n; ++col)
-      scale[col] = std::max(scale[col], std::abs(a[row * n + col]));
-
-  double min_ratio = 1.0;
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t row = col + 1; row < n; ++row)
-      if (std::abs(a[row * n + col]) > std::abs(a[pivot * n + col]))
-        pivot = row;
-    const double pivot_abs = std::abs(a[pivot * n + col]);
-    if (scale[col] <= 0.0 || pivot_abs < kLuSingularRatio * scale[col])
-      return false;
-    min_ratio = std::min(min_ratio, pivot_abs / scale[col]);
-    if (pivot != col) {
-      for (std::size_t k = 0; k < n; ++k)
-        std::swap(a[col * n + k], a[pivot * n + k]);
-      std::swap(b[col], b[pivot]);
-    }
-    const double inv = 1.0 / a[col * n + col];
-    for (std::size_t row = col + 1; row < n; ++row) {
-      const double f = a[row * n + col] * inv;
-      if (f == 0.0) continue;
-      for (std::size_t k = col + 1; k < n; ++k)
-        a[row * n + k] -= f * a[col * n + k];
-      b[row] -= f * b[col];
-    }
-  }
-  if (stats != nullptr) {
-    stats->min_pivot_ratio = min_ratio;
-    stats->near_singular = min_ratio < kLuNearSingularRatio;
-  }
-  for (std::size_t i = n; i-- > 0;) {
-    double acc = b[i];
-    for (std::size_t k = i + 1; k < n; ++k) acc -= a[i * n + k] * b[k];
-    b[i] = acc / a[i * n + i];
-  }
-  return true;
-}
 
 Trace TranResult::node(const std::string& name) const {
   for (std::size_t i = 0; i < node_names_.size(); ++i)
@@ -367,6 +327,13 @@ void Engine::stamp_mosfets(const std::vector<double>& x_prev,
   }
 }
 
+void Engine::ensure_dense() const {
+  SolveContext& ctx = *ctx_;
+  if (ctx.dense_owner_ == engine_id_) return;
+  ctx.dense_lu_.analyze(dim_, entries_, &ctx.allocations_);
+  ctx.dense_owner_ = engine_id_;
+}
+
 void Engine::ensure_sparse() const {
   SolveContext& ctx = *ctx_;
   if (ctx.sparse_owner_ == engine_id_ && ctx.sparse_lu_.analyzed()) return;
@@ -476,7 +443,11 @@ Engine::NrOutcome Engine::solve_nonlinear(std::vector<double>& x,
   const std::size_t n = dim_;
   SolveContext& ctx = *ctx_;
   ctx.prepare(n, n_nodes_, dense);
-  if (!dense) ensure_sparse();
+  if (dense)
+    ensure_dense();
+  else
+    ensure_sparse();
+  DenseLu& dense_lu = ctx.dense_lu_;
   sparse::SparseLu& lu = ctx.sparse_lu_;
   // Both cores keep A as one flat value array addressed through their
   // entry map: row-major dense offsets, or CSC value slots.
@@ -493,12 +464,16 @@ Engine::NrOutcome Engine::solve_nonlinear(std::vector<double>& x,
   const std::size_t gmin_begin = entries_.size() - n_nodes_;
 
   NrOutcome out;
-  std::uint64_t refactors = 0;
+  std::uint64_t refactors = 0, dense_factors = 0;
+  const std::uint64_t schedules0 = dense_lu.schedules();
   const auto finish = [&](int iters, bool converged) {
     nr_iterations_counter().add(static_cast<std::uint64_t>(iters));
     stamp_full_counter().add(1);
     stamp_incremental_counter().add(static_cast<std::uint64_t>(iters));
     if (refactors > 0) numeric_refactors_counter().add(refactors);
+    if (dense_factors > 0) dense_factorizations_counter().add(dense_factors);
+    if (dense_lu.schedules() > schedules0)
+      dense_schedules_counter().add(dense_lu.schedules() - schedules0);
     if (!converged) nr_nonconverged_counter().add(1);
     if (out.near_singular) near_singular_counter().add(1);
     out.iterations = iters;
@@ -506,14 +481,16 @@ Engine::NrOutcome Engine::solve_nonlinear(std::vector<double>& x,
     return out;
   };
   // The factor-and-solve seam, the one step that differs between the
-  // cores. The sparse core freezes its pattern and pivot order on the
-  // first factor and runs the numeric-only refactorization after that,
-  // re-running the full factor when the frozen pivots go stale. On
-  // success rhs holds the solution.
+  // cores. The dense core replays its elimination schedule (re-recorded
+  // when a pivot changes). The sparse core freezes its pattern and pivot
+  // order on the first factor and runs the numeric-only refactorization
+  // after that, re-running the full factor when the frozen pivots go
+  // stale. On success rhs holds the solution.
   const auto factor_solve = [&]() {
     if (dense) {
+      ++dense_factors;
       LuStats stats;
-      if (!lu_solve(a, rhs, n, ctx.lu_scale_, &stats)) return false;
+      if (!dense_lu.factor_solve(a, rhs, &stats)) return false;
       out.near_singular |= stats.near_singular;
       return true;
     }

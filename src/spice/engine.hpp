@@ -3,10 +3,10 @@
 // transient analysis with a per-step retry ladder (NR budget boost ->
 // backward-Euler step -> timestep reduction).
 //
-// Two linear-solver cores sit behind one factor-and-solve seam: dense LU
-// with partial pivoting for cell-scale systems (every catalog cell, and so
-// every committed Liberty artifact), and the CSC sparse LU of sparse.hpp
-// for block-scale netlists (SRAM columns, replicated nets). A full SoC is
+// Two linear-solver cores sit behind one factor-and-solve seam: the dense
+// LU of dense.hpp for cell-scale systems (every catalog cell, and so every
+// committed Liberty artifact), and the CSC sparse LU of sparse.hpp for
+// block-scale netlists (SRAM columns, replicated nets). A full SoC is
 // never simulated at the transistor level (that is what the gate-level
 // STA/power tools are for).
 //
@@ -16,9 +16,12 @@
 // and one NR loop serve both. Every NR solve stamps the linear skeleton
 // (resistors, capacitor companions, source rows) exactly once into a
 // SolveContext, then each NR iteration memcpy's the skeleton back and
-// restamps only the MOSFET conductances and the gmin diagonal. All solver
-// workspaces live in the SolveContext, so a warm transient performs zero
-// heap allocations in its step loop.
+// restamps only the MOSFET conductances and the gmin diagonal. Both cores
+// also analyze the entry list once per engine: the sparse core for its
+// pattern and ordering, the dense core for the elimination schedule it
+// replays bit-identically to the seed lu_solve. All solver workspaces live
+// in the SolveContext, so a warm transient performs zero heap allocations
+// in its step loop.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "spice/circuit.hpp"
+#include "spice/dense.hpp"
 #include "spice/sparse.hpp"
 
 namespace cryo::spice {
@@ -88,7 +92,6 @@ class SolveContext {
     grow(z_lin_, dim);
     grow(z_, dim);
     grow(prev_dv_, n_nodes);
-    grow(lu_scale_, dim);
     grow(x_pred_, dim);
     grow(x_new_, dim);
     // Pooled reuse across circuits: buffers sized for a larger previous
@@ -108,7 +111,6 @@ class SolveContext {
       zero(z_lin_);
       zero(z_);
       zero(prev_dv_);
-      zero(lu_scale_);
       zero(x_pred_);
       zero(x_new_);
       last_dim_ = dim;
@@ -119,14 +121,16 @@ class SolveContext {
   std::vector<double> a_lin_, z_lin_;  // linear skeleton (per NR solve)
   std::vector<double> a_, z_;          // working system (per NR iteration)
   std::vector<double> prev_dv_;        // per-node damping memory
-  std::vector<double> lu_scale_;       // LU column scales
   std::vector<double> x_pred_, x_new_; // transient predictor / candidate
   std::size_t last_dim_ = 0, last_n_nodes_ = 0;
-  // Sparse-core state (pattern, ordering, frozen LU, workspaces), owned
-  // here so pooled contexts keep the symbolic work and the grown buffers
-  // across engines. sparse_owner_ tags which Engine the symbolic state
-  // belongs to; an engine finding someone else's tag re-analyzes.
-  // sparse_slot_ is sparse_lu_.slot_of() widened to the dense map's type.
+  // Per-engine solver state, owned here so pooled contexts keep the grown
+  // buffers across engines: the dense core's elimination schedule, and
+  // the sparse core's pattern, ordering, frozen LU and workspaces. The
+  // owner tags say which Engine each belongs to; an engine finding
+  // someone else's tag re-analyzes. sparse_slot_ is sparse_lu_.slot_of()
+  // widened to the dense map's type.
+  DenseLu dense_lu_;
+  std::uint64_t dense_owner_ = 0;
   sparse::SparseLu sparse_lu_;
   std::vector<std::size_t> sparse_slot_;
   std::uint64_t sparse_owner_ = 0;
@@ -239,12 +243,13 @@ class Engine {
   const SolveDiagnostics& last_diagnostics() const { return last_diag_; }
 
   // Reference oracle: stamp the full MNA system from scratch on every NR
-  // iteration with per-solve allocated workspaces (the pre-SolveContext
-  // implementation, kept verbatim). The golden suite asserts the
-  // incremental path is bit-identical to it, and perf_microbench uses it
-  // as the recorded baseline for the NR-throughput gate. Step selection is
-  // unchanged by this flag, so traces are directly comparable. Forces the
-  // dense core.
+  // iteration with per-solve allocated workspaces and factor it with the
+  // seed lu_solve (the pre-SolveContext implementation, kept verbatim).
+  // The golden and dense suites assert the incremental path, with its
+  // scheduled dense LU, is bit-identical to it, and perf_microbench uses
+  // it as the recorded baseline for the NR-throughput gate. Step selection
+  // is unchanged by this flag, so traces are directly comparable. Forces
+  // the dense core.
   void set_reference_stamping(bool on) { reference_stamping_ = on; }
 
   // Linear-solver selection. kAuto switches from dense LU to the sparse
@@ -328,8 +333,10 @@ class Engine {
                      const std::vector<std::size_t>& slot,
                      std::vector<double>& a, std::vector<double>& z) const;
 
-  // (Re)builds the context's sparse pattern, ordering and slot map from
-  // entries_ when this engine does not own the context's symbolic state.
+  // (Re)analyze entries_ for the active core when this engine does not
+  // own the context's state: the dense elimination pattern, or the sparse
+  // pattern, ordering and slot map.
+  void ensure_dense() const;
   void ensure_sparse() const;
 
   // Reference full rebuild (the historical Engine::build), used by the
@@ -365,47 +372,18 @@ class Engine {
   // Every matrix entry the stamps touch, listed once in stamp order:
   // resistors (4 each), capacitors (4), source rows (4), MOSFETs (6), then
   // the per-node gmin diagonal. Ground rows/columns are negative. This is
-  // the coordinate list the sparse core analyzes.
+  // the coordinate list both cores analyze.
   std::vector<sparse::Coord> entries_;
   std::size_t mos_begin_ = 0;  // index of the first MOSFET entry
   // The dense core's entry map: entries_[k] -> row-major offset.
   std::vector<std::size_t> dense_slot_;
   SolveContext owned_ctx_;
   SolveContext* ctx_;  // owned_ctx_ or a caller-shared context
-  std::uint64_t engine_id_;  // sparse symbolic-state owner tag
+  std::uint64_t engine_id_;  // owner tag of the context's solver state
   LinearSolver solver_ = LinearSolver::kAuto;
   bool reference_stamping_ = false;
   bool reference_step_control_ = false;
   SolveDiagnostics last_diag_;
 };
-
-// Conditioning report from one LU factorization.
-struct LuStats {
-  // Smallest |pivot| / column-scale ratio seen across all elimination
-  // columns; the column scale is the largest |entry| of the original
-  // column, so the ratio is 1.0 for a well-scaled diagonal system.
-  double min_pivot_ratio = 1.0;
-  bool near_singular = false;  // ratio dipped below kLuNearSingularRatio
-};
-
-// Pivot acceptance thresholds, relative to each column's scale. Below
-// kLuSingularRatio the factorization is rejected; between the two the
-// system is solved but flagged near-singular (NR on such a system tends
-// to oscillate, which the caller's diagnostics should mention).
-inline constexpr double kLuSingularRatio = 1e-13;
-inline constexpr double kLuNearSingularRatio = 1e-8;
-
-// Dense LU solve with partial pivoting: solves a*x = b, a is n x n
-// row-major (destroyed). Returns false if singular (pivot below
-// kLuSingularRatio of its column scale). `stats`, when given, reports
-// conditioning even on success.
-bool lu_solve(std::vector<double>& a, std::vector<double>& b, std::size_t n,
-              LuStats* stats = nullptr);
-
-// Workspace variant: `scale` is caller-owned scratch for the column
-// scales, so repeated solves allocate nothing. Numerically identical to
-// the allocating overload (which forwards here).
-bool lu_solve(std::vector<double>& a, std::vector<double>& b, std::size_t n,
-              std::vector<double>& scale, LuStats* stats);
 
 }  // namespace cryo::spice

@@ -50,6 +50,15 @@ enum class FactorStatus {
   kSingular,    // no acceptable pivot (relative test, dense-LU semantics)
 };
 
+// Grow-only resize, counting real reallocations into *allocations (the
+// SolveContext::allocations() ledger; same contract as SolveContext::grow).
+// Shared by the solver cores whose state SolveContext owns.
+template <class T>
+void grow(std::vector<T>& v, std::size_t size, std::uint64_t* allocations) {
+  if (v.capacity() < size && allocations != nullptr) ++*allocations;
+  v.resize(size);
+}
+
 // Conditioning report, mirroring the dense LuStats semantics: the ratio is
 // |pivot| / (max |entry| of the original assembled column).
 struct FactorStats {
@@ -99,14 +108,6 @@ class SparseLu {
   void solve(std::vector<double>& b);
 
  private:
-  // Grow-only resize, counting real reallocations into the SolveContext
-  // allocations() ledger (same contract as SolveContext::grow).
-  template <class T>
-  static void grow(std::vector<T>& v, std::size_t size,
-                   std::uint64_t* allocations) {
-    if (v.capacity() < size && allocations != nullptr) ++*allocations;
-    v.resize(size);
-  }
   void compute_colscale();
 
   // --- pattern of A (per topology) ---

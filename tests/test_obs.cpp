@@ -313,6 +313,70 @@ TEST(ObsMetrics, SparseSymbolicAnalysesScaleWithTopologiesNotIterations) {
   EXPECT_NE(json.find("spice.fill_nnz"), std::string::npos);
 }
 
+TEST(ObsMetrics, DenseSchedulesScaleWithEnginesNotIterations) {
+  // The dense core's cost split: every NR iteration factors once, but the
+  // elimination schedule is recorded once per engine and again only when
+  // a pivot changes. The circuit here keeps its pivots, so re-solving one
+  // engine adds factorizations and no schedules, and each new engine adds
+  // exactly one.
+  auto& schedules = obs::registry().counter("spice.dense_schedules");
+  auto& factorizations =
+      obs::registry().counter("spice.dense_factorizations");
+  auto& iterations = obs::registry().counter("spice.nr_iterations");
+
+  spice::Circuit c;
+  device::ModelCard card = device::golden_nmos();
+  card.NFIN = 4;
+  c.add_vsource("vdd", "vdd", "0", spice::Waveform::dc(0.7));
+  c.add_resistor("vdd", "d", 5000.0);
+  c.add_mosfet("m1", "d", "d", "0", device::FinFet(card, 300.0));
+
+  constexpr int kEngines = 3;
+  constexpr int kSolves = 6;
+  const auto sch0 = schedules.value();
+  const auto fac0 = factorizations.value();
+  const auto it0 = iterations.value();
+  for (int e = 0; e < kEngines; ++e) {
+    spice::Engine engine(c);
+    for (int i = 0; i < kSolves; ++i) engine.dc_operating_point();
+  }
+  const auto iters = iterations.value() - it0;
+  EXPECT_GT(iters, static_cast<std::uint64_t>(2 * kEngines * kSolves));
+  EXPECT_EQ(factorizations.value() - fac0, iters);
+  EXPECT_EQ(schedules.value() - sch0, static_cast<std::uint64_t>(kEngines));
+
+  // A switching inverter chain moves its pivots mid-transient: each move
+  // records a schedule, still a small fraction of the factorizations.
+  spice::Circuit chain;
+  device::ModelCard p = device::golden_pmos();
+  p.NFIN = 3;
+  chain.add_vsource("vdd", "vdd", "0", spice::Waveform::dc(0.7));
+  chain.add_vsource("va", "a", "0",
+                    spice::Waveform::pulse(0.0, 0.7, 5e-12, 4e-12, 4e-12,
+                                           16e-12, 40e-12));
+  const char* stages[][2] = {{"a", "x"}, {"x", "y"}, {"y", "out"}};
+  for (const auto& [in, out] : stages) {
+    chain.add_mosfet(std::string("mp_") + out, out, in, "vdd",
+                     device::FinFet(p, 300.0));
+    chain.add_mosfet(std::string("mn_") + out, out, in, "0",
+                     device::FinFet(card, 300.0));
+  }
+  chain.add_capacitor("out", "0", 1e-15);
+  const auto sch1 = schedules.value();
+  const auto fac1 = factorizations.value();
+  spice::Engine engine(chain);
+  spice::TranOptions opt;
+  opt.t_stop = 200e-12;
+  engine.transient(opt);
+  const auto rebuilt = schedules.value() - sch1;
+  EXPECT_GE(rebuilt, 2u);
+  EXPECT_LT(rebuilt * 20, factorizations.value() - fac1);
+
+  const std::string json = obs::registry().snapshot_json();
+  EXPECT_NE(json.find("spice.dense_factorizations"), std::string::npos);
+  EXPECT_NE(json.find("spice.dense_schedules"), std::string::npos);
+}
+
 TEST(ObsTrace, WritesValidChromeTraceWithBalancedSpans) {
   const fs::path path =
       fs::temp_directory_path() / "cryosoc_test_trace.json";
