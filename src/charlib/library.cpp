@@ -31,4 +31,16 @@ const CellChar& Library::at(const std::string& cell_name) const {
   return *cell;
 }
 
+CellIndex::CellIndex(const Library& library) {
+  cells_.reserve(library.cells.size());
+  for (const auto& cell : library.cells) cells_.emplace(cell.def.name, &cell);
+}
+
+const CellChar& CellIndex::at(const std::string& cell_name) const {
+  const auto it = cells_.find(cell_name);
+  if (it == cells_.end())
+    throw std::out_of_range("Library::at: unknown cell " + cell_name);
+  return *it->second;
+}
+
 }  // namespace cryo::charlib

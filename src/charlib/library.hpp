@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "cells/celldef.hpp"
@@ -64,8 +66,25 @@ struct Library {
   // characterized with failures is never mistaken for a complete one.
   std::vector<std::string> quarantined_arcs;
 
+  // Linear scans by name, for one-off lookups; a pass over a netlist
+  // resolves its cells through a CellIndex instead.
   const CellChar* find(const std::string& cell_name) const;
   const CellChar& at(const std::string& cell_name) const;
+};
+
+// Name -> cell map over one library, built once so that a pass over every
+// gate of a netlist does not scan the cell list per gate. It borrows the
+// library, which must outlive it with its cells unchanged. Resolves
+// exactly as Library::at does (the first cell of a name wins).
+class CellIndex {
+ public:
+  explicit CellIndex(const Library& library);
+
+  // Throws std::out_of_range for a name the library does not have.
+  const CellChar& at(const std::string& cell_name) const;
+
+ private:
+  std::unordered_map<std::string_view, const CellChar*> cells_;
 };
 
 }  // namespace cryo::charlib

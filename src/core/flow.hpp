@@ -91,7 +91,10 @@ std::string default_lib_dir();
 // One corner's resident state: everything derived from (vdd, temperature)
 // that is worth keeping across analyses. The STA engine is built lazily on
 // the first timing/power call for the corner and reused afterwards (its
-// sink lists and net loads depend only on the netlist + library).
+// sink lists, net loads and per-gate cells depend only on the netlist +
+// library). Its report is memoized beside it: StaEngine::run() depends
+// only on the corner, so timing(), power at fmax and every sweep corner
+// share one STA run per resident corner.
 struct CornerState {
   CornerState(Corner c, charlib::Library lib, sram::SramModel sm)
       : corner(std::move(c)), library(std::move(lib)), sram(std::move(sm)) {}
@@ -100,9 +103,12 @@ struct CornerState {
   charlib::Library library;
   sram::SramModel sram;
 
-  // Lazily-built engine; managed by CryoSocFlow (see engine_for).
+  // Lazily-built engine and report; managed by CryoSocFlow (see
+  // engine_for and timing).
   mutable std::once_flag engine_once;
   mutable std::unique_ptr<sta::StaEngine> engine;
+  mutable std::once_flag timing_once;
+  mutable std::optional<sta::TimingReport> timing;
 };
 
 class CryoSocFlow {
@@ -139,6 +145,7 @@ class CryoSocFlow {
   std::shared_ptr<const CornerState> corner_state(const Corner& corner);
 
   sram::SramModel sram_model(const Corner& corner);
+  // STA runs once per resident corner; later calls copy its report.
   sta::TimingReport timing(const Corner& corner);
   power::PowerReport workload_power(const Corner& corner,
                                     const power::ActivityProfile& profile);

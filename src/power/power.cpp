@@ -55,8 +55,9 @@ PowerReport PowerAnalyzer::analyze(const ActivityProfile& profile) const {
   constexpr double kNominalSlew = 10e-12;
 
   double clock_cap = 0.0;
-  for (const auto& gate : nl_.gates()) {
-    const charlib::CellChar& cell = lib_.at(gate.cell);
+  for (std::size_t gi = 0; gi < nl_.gates().size(); ++gi) {
+    const auto& gate = nl_.gates()[gi];
+    const charlib::CellChar& cell = sta_.gate_cell(gi);
     report.leakage_logic += cell.leakage_avg;
 
     // Mean switching energy per output toggle at the actual load.
@@ -109,8 +110,9 @@ PowerReport PowerAnalyzer::analyze(
   constexpr double kNominalSlew = 10e-12;
 
   double clock_cap = 0.0;
-  for (const auto& gate : nl_.gates()) {
-    const charlib::CellChar& cell = lib_.at(gate.cell);
+  for (std::size_t gi = 0; gi < nl_.gates().size(); ++gi) {
+    const auto& gate = nl_.gates()[gi];
+    const charlib::CellChar& cell = sta_.gate_cell(gi);
     report.leakage_logic += cell.leakage_avg;
 
     for (const auto& out : cell.def.outputs) {

@@ -60,10 +60,10 @@ class PowerAnalyzer {
                 const sram::SramModel& sram_model,
                 sta::StaOptions sta_options = {});
 
-  // Borrows an already-built STA engine for net loads instead of building
-  // one (the flow's per-corner engine cache uses this; the engine's sink
-  // lists depend only on the netlist + library, both shared here). The
-  // engine must outlive the analyzer.
+  // Borrows an already-built STA engine for net loads and each gate's
+  // resolved cell instead of building one (the flow's per-corner engine
+  // cache uses this; the engine's sink lists depend only on the netlist +
+  // library, both shared here). The engine must outlive the analyzer.
   PowerAnalyzer(const netlist::Netlist& netlist,
                 const charlib::Library& library,
                 const sram::SramModel& sram_model,
@@ -85,7 +85,7 @@ class PowerAnalyzer {
   const charlib::Library& lib_;
   const sram::SramModel& sram_;
   std::optional<sta::StaEngine> owned_sta_;  // built by the first ctor
-  const sta::StaEngine& sta_;  // reused for net loads
+  const sta::StaEngine& sta_;  // reused for net loads and gate cells
 };
 
 }  // namespace cryo::power

@@ -19,13 +19,16 @@ constexpr double kPosInf = 1e30;
 StaEngine::StaEngine(const netlist::Netlist& netlist,
                      const charlib::Library& library,
                      const sram::SramModel& sram_model, StaOptions options)
-    : nl_(netlist), lib_(library), sram_(sram_model), opt_(options) {
+    : nl_(netlist), sram_(sram_model), opt_(options) {
   sinks_.resize(nl_.net_count());
   loads_.assign(nl_.net_count(), 0.0);
 
+  const charlib::CellIndex index(library);
+  cells_.reserve(nl_.gates().size());
   for (std::size_t gi = 0; gi < nl_.gates().size(); ++gi) {
     const auto& gate = nl_.gates()[gi];
-    const charlib::CellChar& cell = lib_.at(gate.cell);
+    const charlib::CellChar& cell = index.at(gate.cell);
+    cells_.push_back(&cell);
     for (const auto& [pin, net] : gate.conns) {
       const bool is_output = [&] {
         for (const auto& out : cell.def.outputs)
@@ -93,8 +96,9 @@ TimingReport StaEngine::run() const {
   if (nl_.clock() != netlist::kNoNet)
     launch(nl_.clock(), 0.0, opt_.clock_slew);
 
-  for (const auto& gate : nl_.gates()) {
-    const charlib::CellChar& cell = lib_.at(gate.cell);
+  for (std::size_t gi = 0; gi < n_gates; ++gi) {
+    const auto& gate = nl_.gates()[gi];
+    const charlib::CellChar& cell = *cells_[gi];
     if (!cell.def.sequential) continue;
     // Flop Q launches at clk->Q delay.
     for (const auto& out : cell.def.outputs) {
@@ -124,7 +128,7 @@ TimingReport StaEngine::run() const {
     OBS_SPAN("sta.levelize");
     for (std::size_t gi = 0; gi < n_gates; ++gi) {
       const auto& gate = nl_.gates()[gi];
-      const charlib::CellChar& cell = lib_.at(gate.cell);
+      const charlib::CellChar& cell = *cells_[gi];
       if (cell.def.sequential) continue;  // flops are launch/capture points
       int unresolved = 0;
       for (const auto& [pin, net] : gate.conns) {
@@ -137,8 +141,8 @@ TimingReport StaEngine::run() const {
       pending[gi] = unresolved;
       if (unresolved == 0) ready.push_back(gi);
     }
-    for (std::size_t gi = 0; gi < n_gates; ++gi)
-      if (!lib_.at(nl_.gates()[gi].cell).def.sequential) ++comb_total;
+    for (const charlib::CellChar* cell : cells_)
+      if (!cell->def.sequential) ++comb_total;
   }
 
   std::size_t processed = 0;
@@ -148,7 +152,7 @@ TimingReport StaEngine::run() const {
     ready.pop_back();
     ++processed;
     const auto& gate = nl_.gates()[gi];
-    const charlib::CellChar& cell = lib_.at(gate.cell);
+    const charlib::CellChar& cell = *cells_[gi];
     for (const auto& out : cell.def.outputs) {
       const netlist::NetId y = gate.pin(out.name);
       if (y == netlist::kNoNet) continue;
@@ -188,8 +192,7 @@ TimingReport StaEngine::run() const {
       // Release sinks.
       for (const auto& sink : sinks_[yi]) {
         if (sink.gate < 0) continue;
-        if (lib_.at(nl_.gates()[static_cast<std::size_t>(sink.gate)].cell)
-                .def.sequential)
+        if (cells_[static_cast<std::size_t>(sink.gate)]->def.sequential)
           continue;
         if (--pending[static_cast<std::size_t>(sink.gate)] == 0)
           ready.push_back(static_cast<std::size_t>(sink.gate));
@@ -227,8 +230,9 @@ TimingReport StaEngine::run() const {
     }
   };
 
-  for (const auto& gate : nl_.gates()) {
-    const charlib::CellChar& cell = lib_.at(gate.cell);
+  for (std::size_t gi = 0; gi < n_gates; ++gi) {
+    const auto& gate = nl_.gates()[gi];
+    const charlib::CellChar& cell = *cells_[gi];
     if (!cell.def.sequential) continue;
     const netlist::NetId d = gate.pin("D");
     if (d != netlist::kNoNet)

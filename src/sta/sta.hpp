@@ -58,11 +58,18 @@ class StaEngine {
   // pass and power analysis.
   double net_load(netlist::NetId net) const;
 
+  // The library cell of gate `gate` (an index into the netlist's gates()),
+  // resolved once by the constructor; power analysis reuses it.
+  const charlib::CellChar& gate_cell(std::size_t gate) const {
+    return *cells_[gate];
+  }
+
  private:
   const netlist::Netlist& nl_;
-  const charlib::Library& lib_;
   const sram::SramModel& sram_;
   StaOptions opt_;
+
+  std::vector<const charlib::CellChar*> cells_;  // per gate
 
   // Fanout pin lists per net, built once.
   struct Sink {

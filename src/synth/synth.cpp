@@ -59,11 +59,11 @@ struct NetUse {
 };
 
 std::vector<NetUse> collect_uses(const netlist::Netlist& nl,
-                                 const charlib::Library& lib) {
+                                 const charlib::CellIndex& cells) {
   std::vector<NetUse> uses(nl.net_count());
   for (std::size_t gi = 0; gi < nl.gates().size(); ++gi) {
     const auto& gate = nl.gates()[gi];
-    const auto& cell = lib.at(gate.cell);
+    const auto& cell = cells.at(gate.cell);
     for (const auto& [pin, net] : gate.conns) {
       bool is_output = false;
       for (const auto& out : cell.def.outputs) is_output |= (out.name == pin);
@@ -91,13 +91,14 @@ std::vector<NetUse> collect_uses(const netlist::Netlist& nl,
   return uses;
 }
 
-std::size_t buffer_fanout(netlist::Netlist& nl, const charlib::Library& lib,
+std::size_t buffer_fanout(netlist::Netlist& nl,
+                          const charlib::CellIndex& cells,
                           const SynthOptions& opt) {
   std::size_t inserted = 0;
   // Iterate to a fixed point: buffer outputs can themselves exceed the
   // limit when fanout is huge.
   for (int round = 0; round < 8; ++round) {
-    const auto uses = collect_uses(nl, lib);
+    const auto uses = collect_uses(nl, cells);
     bool changed = false;
     const std::size_t net_count = nl.net_count();
     for (std::size_t n = 0; n < net_count; ++n) {
@@ -137,6 +138,7 @@ std::size_t buffer_fanout(netlist::Netlist& nl, const charlib::Library& lib,
 }
 
 std::size_t size_gates(netlist::Netlist& nl, const charlib::Library& lib,
+                       const charlib::CellIndex& cells,
                        const SynthOptions& opt) {
   std::size_t resized_total = 0;
   // Cache available drives per (base, flavor).
@@ -152,14 +154,14 @@ std::size_t size_gates(netlist::Netlist& nl, const charlib::Library& lib,
   };
 
   for (int iter = 0; iter < opt.sizing_iterations; ++iter) {
-    const auto uses = collect_uses(nl, lib);
+    const auto uses = collect_uses(nl, cells);
     std::size_t resized = 0;
     for (auto& gate : nl.gates()) {
       CellKey key = key_of(gate.cell);
       const auto& drives = drives_for(key);
       if (drives.size() < 2) continue;
       // Output load of the (single) output pin.
-      const auto& cell = lib.at(gate.cell);
+      const auto& cell = cells.at(gate.cell);
       netlist::NetId out_net = netlist::kNoNet;
       for (const auto& out : cell.def.outputs) {
         const netlist::NetId n = gate.pin(out.name);
@@ -179,7 +181,7 @@ std::size_t size_gates(netlist::Netlist& nl, const charlib::Library& lib,
       for (int d : drives) {
         CellKey trial = key;
         trial.drive = d;
-        const auto& cand = lib.at(name_of(trial));
+        const auto& cand = cells.at(name_of(trial));
         const double delay = cand.worst_delay(opt.reference_slew, load);
         const double score = delay * std::sqrt(static_cast<double>(d));
         if (score < best_score) {
@@ -204,8 +206,9 @@ std::size_t size_gates(netlist::Netlist& nl, const charlib::Library& lib,
 SynthReport optimize(netlist::Netlist& nl, const charlib::Library& library,
                      const SynthOptions& options) {
   SynthReport report;
-  report.buffers_inserted = buffer_fanout(nl, library, options);
-  report.gates_resized = size_gates(nl, library, options);
+  const charlib::CellIndex cells(library);
+  report.buffers_inserted = buffer_fanout(nl, cells, options);
+  report.gates_resized = size_gates(nl, library, cells, options);
   report.gates_total = nl.gates().size();
   return report;
 }

@@ -159,6 +159,11 @@ TEST(Characterizer, LibraryMetadata) {
   EXPECT_NE(lib.find("NAND2_X2_SLVT"), nullptr);
   EXPECT_EQ(lib.find("NOPE"), nullptr);
   EXPECT_THROW(lib.at("NOPE"), std::out_of_range);
+  // The index resolves every name to the same cell the scan finds.
+  const CellIndex index(lib);
+  for (const auto& cell : lib.cells)
+    EXPECT_EQ(&index.at(cell.def.name), &lib.at(cell.def.name));
+  EXPECT_THROW(index.at("NOPE"), std::out_of_range);
   // SLVT leaks more than LVT (lower threshold).
   EXPECT_GT(lib.at("INV_X1_SLVT").leakage_avg,
             lib.at("INV_X1").leakage_avg);

@@ -467,6 +467,33 @@ TEST(ServeService, FullCatalogTimingMatchesDirectFlow) {
             power_expected);
 }
 
+TEST(ServeService, OneStaRunPerCornerAcrossTimingPowerAndSweep) {
+  // timing, power at fmax and a 1-corner sweep at the same corner all
+  // read the corner's memoized timing report: one STA run between them.
+  FlowConfig config;
+  config.calibrate_devices = false;
+  CryoSocFlow flow(config);
+  const Corner c10 = flow.corner(10.0);
+  power::ActivityProfile profile;
+  profile.clock_frequency = 0.0;  // run at the corner's own fmax
+  profile.default_activity = 0.1;
+  SweepQuery sweep;
+  sweep.corners = {c10};
+  sweep.run_power = true;
+  sweep.profile = profile;
+  sweep.threads = 1;
+
+  const std::uint64_t runs0 = counter("sta.runs");
+  const FlowResponse timing = execute(flow, timing_request(c10));
+  const FlowResponse power = execute(flow, power_request(c10, profile));
+  const FlowResponse swept = execute(flow, sweep_request(sweep));
+  EXPECT_EQ(counter("sta.runs") - runs0, 1u);
+
+  ASSERT_TRUE(timing.ok && power.ok && swept.ok);
+  ASSERT_TRUE(swept.sweep->corners.at(0).timing.has_value());
+  EXPECT_EQ(swept.sweep->corners.at(0).timing->fmax, timing.timing->fmax);
+}
+
 // ---- Service: failures become responses ----------------------------------
 
 TEST(ServeService, AnalysisFailureIsAnOkFalseResponseNotACrash) {
