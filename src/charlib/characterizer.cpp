@@ -1,12 +1,15 @@
 #include "charlib/characterizer.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "common/units.hpp"
@@ -666,7 +669,8 @@ CellChar Characterizer::characterize(const cells::CellDef& cell) const {
 
 Library Characterizer::characterize_all(
     std::span<const cells::CellDef> cell_defs,
-    const std::string& library_name) const {
+    const std::string& library_name, std::span<const std::string> priority,
+    const Publish& publish) const {
   OBS_SPAN("charlib.characterize_all", library_name);
   // Full characterization runs in this process: a warm artifact store
   // keeps this at zero, which the sweep bench asserts.
@@ -731,28 +735,13 @@ Library Characterizer::characterize_all(
     double hold = 0.0;
   };
   std::vector<UnitResult> results(units.size());
-  exec::parallel_for(
-      units.size(),
-      [&](std::size_t u) {
-        const auto ctx = checkout();
-        const Unit& unit = units[u];
-        const cells::CellDef& cell = cell_defs[unit.cell];
-        if (unit.setup_hold) {
-          results[u].setup = find_setup(cell, *ctx);
-          results[u].hold = find_hold(cell, *ctx);
-        } else {
-          results[u].arc = characterize_arc(
-              cell, cell.arcs[unit.arc], lib.cells[unit.cell].leakage, *ctx);
-        }
-      },
-      options_.threads);
 
   // Deterministic merge: units were emitted in (cell, arc declaration)
-  // order and results are keyed by unit index, so arcs, failed_arcs, and
-  // setup/hold land exactly where a serial run would put them — the
-  // library (and the Liberty text rendered from it) is byte-identical at
-  // any thread count.
-  for (std::size_t u = 0; u < units.size(); ++u) {
+  // order and results are keyed by unit index, so merging each cell's
+  // units in index order puts arcs, failed_arcs, and setup/hold exactly
+  // where a serial run would — the library (and the Liberty text rendered
+  // from it) is byte-identical at any thread count and in any band order.
+  const auto merge = [&](std::size_t u) {
     const Unit& unit = units[u];
     CellChar& cc = lib.cells[unit.cell];
     if (unit.setup_hold) {
@@ -764,7 +753,79 @@ Library Characterizer::characterize_all(
       cc.failed_arcs.push_back(arc_label(cell_defs[unit.cell],
                                          cell_defs[unit.cell].arcs[unit.arc]));
     }
-  }
+  };
+
+  // Bands: the priority cells' units, then the rest, each longest first.
+  std::vector<char> urgent(cell_defs.size(), 0);
+  for (std::size_t i = 0; i < cell_defs.size(); ++i)
+    urgent[i] = std::find(priority.begin(), priority.end(),
+                          cell_defs[i].name) != priority.end();
+  std::vector<std::size_t> order(units.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto rank = [&](std::size_t u) {
+    const Unit& unit = units[u];
+    return std::tuple(!urgent[unit.cell], !unit.setup_hold,
+                      -static_cast<std::ptrdiff_t>(
+                          cell_defs[unit.cell].transistors.size()));
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return rank(a) < rank(b);
+                   });
+
+  // The priority library: merged and handed over by whichever task
+  // finishes the band's last unit (every band task's result happens-before
+  // that task's acq_rel decrement observes zero).
+  const bool publishing = publish && !priority.empty();
+  std::size_t band_units = 0;
+  for (const Unit& unit : units) band_units += urgent[unit.cell];
+  std::atomic<std::size_t> band_left{band_units};
+  const auto publish_band = [&] {
+    OBS_SPAN("charlib.publish", library_name);
+    Library band;
+    band.name = lib.name;
+    band.temperature = lib.temperature;
+    band.vdd = lib.vdd;
+    band.slew_grid = lib.slew_grid;
+    band.load_grid = lib.load_grid;
+    for (std::size_t u = 0; u < units.size(); ++u)
+      if (urgent[units[u].cell]) merge(u);
+    for (std::size_t i = 0; i < cell_defs.size(); ++i) {
+      if (!urgent[i]) continue;
+      band.cells.push_back(lib.cells[i]);
+      band.quarantined_arcs.insert(band.quarantined_arcs.end(),
+                                   lib.cells[i].failed_arcs.begin(),
+                                   lib.cells[i].failed_arcs.end());
+    }
+    publish(std::move(band));
+  };
+  if (publishing && band_units == 0) publish_band();
+
+  exec::parallel_for(
+      order.size(),
+      [&](std::size_t k) {
+        const std::size_t u = order[k];
+        const Unit& unit = units[u];
+        const cells::CellDef& cell = cell_defs[unit.cell];
+        {
+          const auto ctx = checkout();
+          if (unit.setup_hold) {
+            results[u].setup = find_setup(cell, *ctx);
+            results[u].hold = find_hold(cell, *ctx);
+          } else {
+            results[u].arc = characterize_arc(
+                cell, cell.arcs[unit.arc], lib.cells[unit.cell].leakage,
+                *ctx);
+          }
+        }
+        if (publishing && urgent[unit.cell] &&
+            band_left.fetch_sub(1, std::memory_order_acq_rel) == 1)
+          publish_band();
+      },
+      options_.threads);
+
+  for (std::size_t u = 0; u < units.size(); ++u)
+    if (!publishing || !urgent[units[u].cell]) merge(u);
   cells_counter.add(cell_defs.size());
 
   // Aggregate quarantined arcs in cell order, so the list (and the

@@ -20,8 +20,18 @@
 // per grid point. Results merge in (cell, arc declaration) order, so the
 // library — and every Liberty artifact rendered from it — is
 // byte-identical at any thread count.
+//
+// Wave two runs in bands. An optional priority set (the cells one query
+// reads, e.g. a netlist's) makes its cells' units a first band; the moment
+// they merge, a publish hook receives a library of just those cells, and
+// the rest of the catalog runs after. Within each band the longest units
+// start first (setup/hold bisections, then arcs of larger cells), which
+// shortens the tail. Only the execution order moves: the unit list, the
+// counters and the merge order are the same with or without a priority
+// set, so the returned library is too.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -74,10 +84,22 @@ class Characterizer {
   // cell's slice of a characterize_all run).
   CellChar characterize(const cells::CellDef& cell) const;
 
+  // Receives the priority cells' library (see characterize_all).
+  using Publish = std::function<void(Library)>;
+
   // Characterizes a set of cells into a library, arc-parallel over
-  // cryo::exec (see the file comment for the task structure).
+  // cryo::exec (see the file comment for the task structure). The units
+  // of the cells `priority` names run first; with a non-empty `priority`,
+  // `publish` (if set) is called once, from the task that finishes the
+  // last of them, with a library of just those cells (same name,
+  // temperature, vdd and grids; cells in `cells` order; names `cells`
+  // lacks are skipped), each cell bit-identical to its slice of the
+  // returned library. A throw from `publish` fails the call like a
+  // throwing unit.
   Library characterize_all(std::span<const cells::CellDef> cells,
-                           const std::string& library_name) const;
+                           const std::string& library_name,
+                           std::span<const std::string> priority = {},
+                           const Publish& publish = {}) const;
 
   const CharOptions& options() const { return options_; }
 

@@ -1,8 +1,12 @@
 #include "core/flow.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <stdexcept>
 
 #include "core/artifacts.hpp"
@@ -43,6 +47,12 @@ FlowConfig validate_config(FlowConfig config) {
                         std::to_string(config.characterize_threads) + ")");
   if (!config.interp_anchor_temps.empty()) {
     const auto& temps = config.interp_anchor_temps;
+    for (double t : temps)
+      if (!std::isfinite(t) || t <= 0.0)
+        throw FlowError("config", "",
+                        "FlowConfig.interp_anchor_temps must be finite and "
+                        "> 0 K (got " +
+                            corner_detail::shortest(t) + ")");
     if (temps.size() < 2)
       throw FlowError("config", "",
                       "FlowConfig.interp_anchor_temps needs >= 2 anchors "
@@ -68,6 +78,11 @@ CryoSocFlow::CryoSocFlow(FlowConfig config)
     : config_(validate_config(std::move(config))),
       corners_(config_.corner_cache_capacity, "sweep.corner_cache") {
   if (config_.lib_dir.empty()) config_.lib_dir = default_lib_dir();
+}
+
+CryoSocFlow::~CryoSocFlow() {
+  std::lock_guard<std::mutex> lock(jobs_mutex_);
+  for (auto& job : jobs_) job.wait();
 }
 
 void CryoSocFlow::ensure_devices() {
@@ -138,8 +153,52 @@ std::string CryoSocFlow::corner_slug(const Corner& corner) const {
   return corner.slug();  // "v0p65_t300"
 }
 
-std::shared_ptr<CornerState> CryoSocFlow::build_corner_state(
-    const Corner& corner) {
+namespace {
+
+// Writes a freshly characterized library and its manifest. The manifest
+// records the quarantine list, which check_artifact treats as permanently
+// stale — a degraded library is usable in this process but never trusted
+// from disk. A failed write is not fatal (read-only checkout).
+void write_artifact(const charlib::Library& lib, const fs::path& path,
+                    const std::string& lib_dir, const ArtifactKey& key) {
+  OBS_SPAN("flow.library.write", lib.name);
+  std::error_code ec;
+  fs::create_directories(lib_dir, ec);
+  liberty::Manifest manifest = key.manifest();
+  manifest.quarantined = lib.quarantined_arcs;
+  if (!manifest.quarantined.empty())
+    std::fprintf(stderr,
+                 "[cryo::core] library %s characterized with %zu "
+                 "quarantined arc(s) (first: %s); artifact will not be "
+                 "reused\n",
+                 lib.name.c_str(), manifest.quarantined.size(),
+                 manifest.quarantined.front().c_str());
+  try {
+    liberty::write_file(lib, path.string());
+    liberty::write_manifest(path.string(), manifest);
+  } catch (const std::exception&) {
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> CryoSocFlow::priority_cells(const Corner& corner) {
+  // Never from inside a parallel region: exec runs one top-level batch at
+  // a time, so the background job's batches would queue behind the
+  // region's while one of its tasks waited for them. Never for the
+  // corner soc() itself needs, nor for anchors, which soc() may need
+  // through an interpolated 300 K corner: those builds must not wait for
+  // a synthesis.
+  if (exec::inside_parallel_region() || corner == this->corner(300.0) ||
+      !config_.interp_anchor_temps.empty())
+    return {};
+  std::unique_lock<std::mutex> lock(soc_mutex_);
+  soc_done_.wait(lock, [&] { return !soc_building_; });
+  return soc_cells_;
+}
+
+CryoSocFlow::Corners::Built CryoSocFlow::build_corner_state(
+    const Corner& corner, const Corners::Ticket& ticket) {
   if (!config_.interp_anchor_temps.empty()) {
     // Only exact anchor temperatures take the characterize/artifact path;
     // everything else (including round-trip-noise neighbors of an anchor)
@@ -148,7 +207,7 @@ std::shared_ptr<CornerState> CryoSocFlow::build_corner_state(
     bool exact_anchor = false;
     for (double t : config_.interp_anchor_temps)
       exact_anchor = exact_anchor || corner.temperature == t;
-    if (!exact_anchor) return build_interpolated_state(corner);
+    if (!exact_anchor) return {build_interpolated_state(corner)};
   }
   const std::string name = "cryo5_" + corner_slug(corner);
   const fs::path path = fs::path(config_.lib_dir) / (name + ".lib");
@@ -162,13 +221,19 @@ std::shared_ptr<CornerState> CryoSocFlow::build_corner_state(
       *nmos_, *pmos_, config_.catalog, corner, kCharacterizerVersion,
       config_.cells_override ? &*config_.cells_override : nullptr);
   const ArtifactStatus status = check_artifact(path.string(), key);
-  charlib::Library lib;
+  // Copies `corner`: the background job below outlives this call.
+  const auto state = [this, corner](charlib::Library lib) {
+    return std::make_shared<CornerState>(
+        corner, std::move(lib),
+        sram::SramModel(*nmos_, *pmos_, corner.temperature, corner.vdd));
+  };
   if (status.fresh) {
     hits.add(1);
     OBS_SPAN("flow.library.load", name);
     // A fresh fingerprint with unreadable content is a corrupt artifact:
     // surface it as a per-corner failure (the manifest promised content
     // it cannot deliver) instead of silently re-characterizing.
+    charlib::Library lib;
     try {
       lib = liberty::read_file(path.string());
     } catch (const FlowError& e) {
@@ -176,54 +241,93 @@ std::shared_ptr<CornerState> CryoSocFlow::build_corner_state(
     } catch (const std::exception& e) {
       throw FlowError("artifact-load", path.string(), e.what(), corner);
     }
+    return {state(std::move(lib))};
+  }
+  if (status.reason.find("missing") != std::string::npos) {
+    misses.add(1);
   } else {
-    if (status.reason.find("missing") != std::string::npos) {
-      misses.add(1);
-    } else {
-      regenerated.add(1);
-      std::fprintf(stderr,
-                   "[cryo::core] artifact %s stale: %s; re-characterizing\n",
-                   path.string().c_str(), status.reason.c_str());
-    }
+    regenerated.add(1);
+    std::fprintf(stderr,
+                 "[cryo::core] artifact %s stale: %s; re-characterizing\n",
+                 path.string().c_str(), status.reason.c_str());
+  }
 
-    OBS_SPAN("flow.library.characterize", name);
-    charlib::CharOptions options;
-    options.temperature = corner.temperature;
-    options.vdd = corner.vdd;
-    options.threads = config_.characterize_threads;
-    charlib::Characterizer characterizer(*nmos_, *pmos_, options);
-    const auto defs = config_.cells_override
-                          ? *config_.cells_override
-                          : cells::standard_cells(config_.catalog);
+  OBS_SPAN("flow.library.characterize", name);
+  charlib::CharOptions options;
+  options.temperature = corner.temperature;
+  options.vdd = corner.vdd;
+  options.threads = config_.characterize_threads;
+  charlib::Characterizer characterizer(*nmos_, *pmos_, options);
+  std::vector<cells::CellDef> defs =
+      config_.cells_override ? *config_.cells_override
+                             : cells::standard_cells(config_.catalog);
+  const auto failure = [path, corner](std::exception_ptr error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+      return FlowError("characterize", path.string(), e.what(), corner);
+    } catch (...) {
+      return FlowError("characterize", path.string(), "unknown error",
+                       corner);
+    }
+  };
+  std::vector<std::string> priority = priority_cells(corner);
+  if (priority.empty()) {
+    charlib::Library lib;
     try {
       lib = characterizer.characterize_all(defs, name);
-    } catch (const std::exception& e) {
-      throw FlowError("characterize", path.string(), e.what(), corner);
+    } catch (...) {
+      throw failure(std::current_exception());
     }
-    std::error_code ec;
-    fs::create_directories(config_.lib_dir, ec);
-    liberty::Manifest manifest = key.manifest();
-    manifest.quarantined = lib.quarantined_arcs;
-    if (!manifest.quarantined.empty())
-      std::fprintf(stderr,
-                   "[cryo::core] library %s characterized with %zu "
-                   "quarantined arc(s) (first: %s); artifact will not be "
-                   "reused\n",
-                   name.c_str(), manifest.quarantined.size(),
-                   manifest.quarantined.front().c_str());
-    try {
-      liberty::write_file(lib, path.string());
-      // The manifest records the quarantine list, which check_artifact
-      // treats as permanently stale — a degraded library is usable in
-      // this process but never trusted from disk.
-      liberty::write_manifest(path.string(), manifest);
-    } catch (const std::exception&) {
-      // Cache write failure is non-fatal (read-only checkout).
-    }
+    write_artifact(lib, path, config_.lib_dir, key);
+    return {state(std::move(lib))};
   }
-  sram::SramModel sram(*nmos_, *pmos_, corner.temperature, corner.vdd);
-  return std::make_shared<CornerState>(corner, std::move(lib),
-                                       std::move(sram));
+
+  // Cold corner: the netlist's cells come back through `early`; the job
+  // finishes the catalog, writes the artifact, then lands the full state.
+  static obs::Counter& publications =
+      obs::registry().counter("flow.partial_publications");
+  static obs::Histogram& background =
+      obs::registry().histogram("flow.background_seconds");
+  std::promise<charlib::Library> early;
+  std::future<charlib::Library> partial = early.get_future();
+  auto job = [this, ticket, early = std::move(early),
+              characterizer = std::move(characterizer),
+              defs = std::move(defs), name, path, key,
+              priority = std::move(priority), state, failure]() mutable {
+    bool published = false;
+    std::chrono::steady_clock::time_point published_at;
+    try {
+      OBS_SPAN("flow.library.background", name);
+      charlib::Library lib = characterizer.characterize_all(
+          defs, name, priority, [&](charlib::Library cells) {
+            early.set_value(std::move(cells));
+            published = true;
+            published_at = std::chrono::steady_clock::now();
+          });
+      write_artifact(lib, path, config_.lib_dir, key);
+      corners_.finish(ticket, state(std::move(lib)));
+      background.observe(std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - published_at)
+                             .count());
+    } catch (...) {
+      auto error = std::make_exception_ptr(failure(std::current_exception()));
+      if (published)
+        corners_.finish(ticket, nullptr, error);
+      else
+        early.set_exception(error);
+    }
+  };
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    std::erase_if(jobs_, [](const std::future<void>& f) {
+      return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    });
+    jobs_.push_back(std::async(std::launch::async, std::move(job)));
+  }
+  charlib::Library lib = partial.get();
+  publications.add(1);
+  return {state(std::move(lib)), /*early=*/true};
 }
 
 std::shared_ptr<CornerState> CryoSocFlow::build_interpolated_state(
@@ -246,20 +350,24 @@ std::shared_ptr<CornerState> CryoSocFlow::build_interpolated_state(
 }
 
 std::shared_ptr<CornerState> CryoSocFlow::corner_state_mutable(
-    const Corner& corner) {
+    const Corner& corner, bool accept_partial) {
   ensure_devices();
-  return corners_.get_or_build(corner,
-                               [&] { return build_corner_state(corner); });
+  return corners_.get_or_build(
+      corner,
+      [&](const Corners::Ticket& ticket) {
+        return build_corner_state(corner, ticket);
+      },
+      accept_partial);
 }
 
 std::shared_ptr<const CornerState> CryoSocFlow::corner_state(
     const Corner& corner) {
-  return corner_state_mutable(corner);
+  return corner_state_mutable(corner, /*accept_partial=*/false);
 }
 
 std::shared_ptr<const charlib::Library> CryoSocFlow::library(
     const Corner& corner) {
-  auto state = corner_state_mutable(corner);
+  auto state = corner_state_mutable(corner, /*accept_partial=*/false);
   return {state, &state->library};
 }
 
@@ -287,7 +395,8 @@ const sta::StaEngine& CryoSocFlow::engine_for(CornerState& state) {
 }
 
 sta::TimingReport CryoSocFlow::timing(const Corner& corner) {
-  auto state = corner_state_mutable(corner);
+  start_soc();
+  auto state = corner_state_mutable(corner, /*accept_partial=*/true);
   const sta::StaEngine& engine = engine_for(*state);
   // A throwing run() leaves the flag unset, so the next call retries.
   std::call_once(state->timing_once, [&] {
@@ -299,7 +408,8 @@ sta::TimingReport CryoSocFlow::timing(const Corner& corner) {
 
 power::PowerReport CryoSocFlow::workload_power(
     const Corner& corner, const power::ActivityProfile& profile) {
-  auto state = corner_state_mutable(corner);
+  start_soc();
+  auto state = corner_state_mutable(corner, /*accept_partial=*/true);
   const sta::StaEngine& engine = engine_for(*state);
   OBS_SPAN("flow.power", corner.label());
   power::PowerAnalyzer analyzer(soc(), state->library, state->sram, engine);
@@ -308,20 +418,47 @@ power::PowerReport CryoSocFlow::workload_power(
 
 power::PowerReport CryoSocFlow::measured_power(
     const Corner& corner, const gatesim::MeasuredActivity& activity) {
-  auto state = corner_state_mutable(corner);
+  start_soc();
+  auto state = corner_state_mutable(corner, /*accept_partial=*/true);
   const sta::StaEngine& engine = engine_for(*state);
   OBS_SPAN("flow.power_measured", corner.label());
   power::PowerAnalyzer analyzer(soc(), state->library, state->sram, engine);
   return analyzer.analyze(activity);
 }
 
+void CryoSocFlow::start_soc() {
+  {
+    std::lock_guard<std::mutex> lock(soc_mutex_);
+    if (soc_ || soc_building_) return;
+  }
+  soc();
+}
+
 const netlist::Netlist& CryoSocFlow::soc() {
-  std::call_once(soc_once_, [&] {
-    soc_ = netlist::build_soc(config_.soc);
+  std::unique_lock<std::mutex> lock(soc_mutex_);
+  soc_done_.wait(lock, [&] { return !soc_building_; });
+  if (soc_) return *soc_;
+  soc_building_ = true;
+  lock.unlock();
+  std::optional<netlist::Netlist> built;
+  std::set<std::string> cells;
+  try {
+    built = netlist::build_soc(config_.soc);
     auto lib = library(corner(300.0));
     OBS_SPAN("flow.synthesize");
-    synth::optimize(*soc_, *lib);
-  });
+    synth::optimize(*built, *lib);
+    for (const auto& gate : built->gates()) cells.insert(gate.cell);
+  } catch (...) {
+    lock.lock();
+    soc_building_ = false;
+    soc_done_.notify_all();
+    throw;
+  }
+  lock.lock();
+  soc_ = std::move(built);
+  soc_cells_.assign(cells.begin(), cells.end());
+  soc_building_ = false;
+  soc_done_.notify_all();
   return *soc_;
 }
 

@@ -19,7 +19,9 @@
 // (serve/request.hpp, serve/service.hpp).
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -95,6 +97,14 @@ std::string default_lib_dir();
 // library). Its report is memoized beside it: StaEngine::run() depends
 // only on the corner, so timing(), power at fmax and every sweep corner
 // share one STA run per resident corner.
+//
+// A cold corner is first resident as a partial state: its library holds
+// only the synthesized netlist's cells, each bit-identical to its slice of
+// the full library, so timing(), workload_power() and measured_power(),
+// which read nothing else, answer from it unchanged. The full state
+// replaces it once the rest of the catalog is characterized and the
+// artifact is written; library(), corner_state(), leakage, sweeps and
+// interpolation anchors only ever see full states.
 struct CornerState {
   CornerState(Corner c, charlib::Library lib, sram::SramModel sm)
       : corner(std::move(c)), library(std::move(lib)), sram(std::move(sm)) {}
@@ -114,8 +124,14 @@ struct CornerState {
 class CryoSocFlow {
  public:
   // Throws core::FlowError{stage="config"} when the config is invalid
-  // (corner_cache_capacity < 1, characterize_threads < 0).
+  // (corner_cache_capacity < 1, characterize_threads < 0, an anchor
+  // temperature that is not finite and > 0).
   explicit CryoSocFlow(FlowConfig config = {});
+  // Waits for every background characterization (see library()) to
+  // land, so its artifact is written before the flow goes away.
+  ~CryoSocFlow();
+  CryoSocFlow(const CryoSocFlow&) = delete;
+  CryoSocFlow& operator=(const CryoSocFlow&) = delete;
 
   // Calibrated devices (runs the extraction flow on first use).
   const device::ModelCard& nmos();
@@ -136,16 +152,31 @@ class CryoSocFlow {
   // first touch. Failures throw core::FlowError carrying stage + corner
   // + path. Safe to call concurrently from exec workers.
 
-  // Characterized library at the corner. The shared_ptr keeps the
+  // Cold corners: a top-level build (outside any exec parallel region)
+  // of a corner other than the synthesis corner, once the netlist exists
+  // or another thread is synthesizing it, characterizes the netlist's
+  // cells first and publishes a partial state (see CornerState) as soon as
+  // they are done; a job owned by the flow finishes the catalog, writes
+  // the artifact and swaps the full state in. Such a build never starts a
+  // synthesis itself, and anchored-interpolation flows always build whole.
+  // A failure in the background part reaches the calls waiting for the
+  // full state as FlowError{stage="characterize"}.
+
+  // Characterized library at the corner, always the full one: waits for a
+  // background characterization in flight. The shared_ptr keeps the
   // library alive across cache eviction for as long as the caller holds
   // it.
   std::shared_ptr<const charlib::Library> library(const Corner& corner);
 
-  // Full per-corner state (library + SRAM model + cached STA engine).
+  // Full per-corner state (library + SRAM model + cached STA engine);
+  // waits like library().
   std::shared_ptr<const CornerState> corner_state(const Corner& corner);
 
   sram::SramModel sram_model(const Corner& corner);
-  // STA runs once per resident corner; later calls copy its report.
+  // The three analyses below may answer from a cold corner's partial
+  // state. Each starts soc() before resolving its corner, unless another
+  // thread is already synthesizing. STA runs once per resident corner
+  // state; later calls copy its report.
   sta::TimingReport timing(const Corner& corner);
   power::PowerReport workload_power(const Corner& corner,
                                     const power::ActivityProfile& profile);
@@ -155,7 +186,8 @@ class CryoSocFlow {
                                     const gatesim::MeasuredActivity& activity);
 
   // The synthesized SoC netlist (built and optimized with the 300 K
-  // library, as the paper does). Thread-safe; built once.
+  // library, as the paper does). Thread-safe; built once (a failed build
+  // is retried by the next call).
   const netlist::Netlist& soc();
 
   // Translates ISS performance counters into the per-unit activity
@@ -166,19 +198,34 @@ class CryoSocFlow {
   const FlowConfig& config() const { return config_; }
 
  private:
+  using Corners = CornerCache<CornerState>;
+
   void ensure_devices();
   // Artifact file stem for a corner ("300k", "v0p65_t300", or the
   // corner's own name).
   std::string corner_slug(const Corner& corner) const;
-  // Load-or-characterize the corner's library and assemble its state.
-  std::shared_ptr<CornerState> build_corner_state(const Corner& corner);
+  // Load-or-characterize the corner's library and assemble its state; a
+  // cold corner may come back partial (see the cold-corner comment above).
+  Corners::Built build_corner_state(const Corner& corner,
+                                    const Corners::Ticket& ticket);
+  // The netlist's cell names when a cold corner may publish early (the
+  // netlist exists, or waits for another thread's synthesis); else empty.
+  std::vector<std::string> priority_cells(const Corner& corner);
+  // Synthesizes on this thread unless the netlist exists or another
+  // thread is building it. timing() and the power analyses call it first,
+  // so a cold corner's build, whichever query starts it, finds the
+  // synthesis in flight, while a warm corner's load still overlaps
+  // another thread's synthesis instead of queuing behind it.
+  void start_soc();
   // Anchored-interpolation path: resolve the anchor libraries through the
   // corner cache (nested get_or_build on distinct corners is safe — the
   // cache skips mid-build slots on eviction) and synthesize the corner's
   // library instead of characterizing it.
   std::shared_ptr<CornerState> build_interpolated_state(const Corner& corner);
-  // Non-const state access for the lazy engine.
-  std::shared_ptr<CornerState> corner_state_mutable(const Corner& corner);
+  // Non-const state access for the lazy engine; `accept_partial` lets a
+  // cold corner's partial state answer.
+  std::shared_ptr<CornerState> corner_state_mutable(const Corner& corner,
+                                                    bool accept_partial);
   // The corner's cached STA engine, built on first use.
   const sta::StaEngine& engine_for(CornerState& state);
 
@@ -188,9 +235,17 @@ class CryoSocFlow {
   std::optional<device::ModelCard> pmos_;
   std::optional<calib::ExtractionReport> report_n_;
   std::optional<calib::ExtractionReport> report_p_;
-  std::once_flag soc_once_;
+  // The netlist: built once by soc(); soc_building_ marks a synthesis in
+  // flight, so a cold corner's build can wait for it (priority_cells).
+  std::mutex soc_mutex_;
+  std::condition_variable soc_done_;
+  bool soc_building_ = false;
   std::optional<netlist::Netlist> soc_;
-  CornerCache<CornerState> corners_;
+  std::vector<std::string> soc_cells_;  // distinct cell names of *soc_
+  Corners corners_;
+  // Background characterizations; the destructor waits for them.
+  std::mutex jobs_mutex_;
+  std::vector<std::future<void>> jobs_;
 };
 
 }  // namespace cryo::core

@@ -65,7 +65,7 @@ std::uint64_t EventSimulator::arc_delay_fs(const GateInfo& info,
 EventSimulator::EventSimulator(const netlist::Netlist& netlist,
                                const charlib::Library& library,
                                EventSimConfig config)
-    : nl_(netlist), lib_(library), cfg_(config) {
+    : nl_(netlist), cfg_(config) {
   period_fs_ = to_fs(cfg_.clock_period);
   sram_delay_fs_ = to_fs(cfg_.sram_access_delay);
   event_budget_ = cfg_.max_events_per_settle
@@ -80,11 +80,12 @@ EventSimulator::EventSimulator(const netlist::Netlist& netlist,
   net_sinks_.resize(nl_.net_count());
   net_driver_.assign(nl_.net_count(), -1);
 
+  const charlib::CellIndex index(library);
   gates_.resize(nl_.gates().size());
   for (std::size_t gi = 0; gi < nl_.gates().size(); ++gi) {
     const auto& gate = nl_.gates()[gi];
     GateInfo& info = gates_[gi];
-    info.cell = &lib_.at(gate.cell);
+    info.cell = &index.at(gate.cell);
     info.sequential = info.cell->def.sequential;
     info.is_latch = info.cell->def.is_latch;
     const auto& def = info.cell->def;

@@ -143,7 +143,6 @@ class EventSimulator {
   void drain();
 
   const netlist::Netlist& nl_;
-  const charlib::Library& lib_;
   EventSimConfig cfg_;
   std::uint64_t period_fs_ = 0;
   std::uint64_t sram_delay_fs_ = 0;

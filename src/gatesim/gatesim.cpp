@@ -6,7 +6,7 @@ namespace cryo::gatesim {
 
 Simulator::Simulator(const netlist::Netlist& netlist,
                      const charlib::Library& library)
-    : nl_(netlist), lib_(library) {
+    : nl_(netlist) {
   values_.assign(nl_.net_count(), 0);
   toggle_counts_.assign(nl_.net_count(), 0);
   net_sinks_.resize(nl_.net_count());
@@ -14,11 +14,12 @@ Simulator::Simulator(const netlist::Netlist& netlist,
   eval_count_.assign(nl_.gates().size(), 0);
   eval_gen_.assign(nl_.gates().size(), 0);
 
+  const charlib::CellIndex index(library);
   gates_.resize(nl_.gates().size());
   for (std::size_t gi = 0; gi < nl_.gates().size(); ++gi) {
     const auto& gate = nl_.gates()[gi];
     GateInfo& info = gates_[gi];
-    info.cell = &lib_.at(gate.cell);
+    info.cell = &index.at(gate.cell);
     info.sequential = info.cell->def.sequential;
     for (const auto& in : info.cell->def.inputs) {
       const netlist::NetId n = gate.pin(in);

@@ -72,7 +72,6 @@ class Simulator {
   bool eval_gate(std::size_t gate_index);
 
   const netlist::Netlist& nl_;
-  const charlib::Library& lib_;
   std::vector<char> values_;
   std::vector<std::uint64_t> toggle_counts_;
   std::uint64_t total_toggles_ = 0;

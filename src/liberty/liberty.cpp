@@ -32,7 +32,7 @@ std::string format_row(const Table2D& t, std::size_t row, double scale) {
   return out;
 }
 
-void write_table(std::ostringstream& os, const std::string& name,
+void write_table(std::ostream& os, const std::string& name,
                  const Table2D& t, double scale, const char* indent) {
   os << indent << name << " (tmpl_7x7) {\n";
   os << indent << "  values ( \\\n";
@@ -78,10 +78,8 @@ std::string function_string(const cells::CellDef& def,
   return sop.empty() ? "0" : sop;
 }
 
-}  // namespace
-
-std::string write(const charlib::Library& library) {
-  std::ostringstream os;
+// Streams the Liberty text, so writing an artifact never holds it whole.
+void write_to(const charlib::Library& library, std::ostream& os) {
   os << "/* Generated by cryosoc charlib; temperatures in kelvin. */\n";
   os << "library (" << library.name << ") {\n";
   os << "  delay_model : table_lookup;\n";
@@ -192,6 +190,13 @@ std::string write(const charlib::Library& library) {
     os << "  }\n";
   }
   os << "}\n";
+}
+
+}  // namespace
+
+std::string write(const charlib::Library& library) {
+  std::ostringstream os;
+  write_to(library, os);
   return os.str();
 }
 
@@ -199,7 +204,7 @@ void write_file(const charlib::Library& library, const std::string& path) {
   std::ofstream f(path);
   if (!f)
     throw core::FlowError("liberty-io", path, "write_file: cannot open file");
-  f << write(library);
+  write_to(library, f);
   if (!f)
     throw core::FlowError("liberty-io", path, "write_file: write failed");
 }

@@ -15,10 +15,15 @@
 // the oldest answer is written, so independent requests overlap across
 // workers while the output order stays exactly the input order. A
 // malformed line or an admission rejection produces an ok=false response
-// line (stages "request-parse" / "admission"); the daemon itself never
-// dies on bad input. On EOF it drains, prints an obs summary to stderr,
-// and exits 0. Numeric flags take a whole number >= 1; a bad flag or
-// value is a usage error (exit 2).
+// line (stages "request-parse" / "admission"; a corner whose temperature
+// or vdd is not finite and > 0 is a parse error); the daemon itself never
+// dies on bad input. A cold corner's timing and power answer as soon as
+// the netlist's cells are characterized, while the rest of the catalog
+// and the artifact finish in the background. On EOF it drains: every
+// answer, then that background characterization, so each corner's
+// artifact is on disk before it prints an obs summary to stderr and exits
+// 0. Numeric flags take a whole number >= 1; a bad flag or value is a
+// usage error (exit 2).
 //
 //   echo '{"schema":"cryosoc-req-v1","kind":"timing",
 //          "corner":{"vdd":0.7,"temperature_k":10}}' | cryosocd
@@ -228,7 +233,8 @@ int main(int argc, char** argv) {
   }
   out.close();
   writer.join();
-  service->shutdown();
+  service.reset();
+  flow.reset();  // joins background characterization
 
   const auto count = [](const char* name) {
     return obs::registry().counter(name).value();

@@ -517,6 +517,23 @@ obs::Json to_json(const FlowRequest& request, bool include_id) {
   return j;
 }
 
+namespace {
+
+// A corner a request may name: finite, positive temperature and supply.
+// Checked at admission, because a cold corner keeps characterizing after
+// it answers; responses parse their corners without it.
+void check_physical(const core::Corner& corner, const std::string& where) {
+  const auto bad = [](double v) { return !std::isfinite(v) || v <= 0.0; };
+  if (bad(corner.temperature) || bad(corner.vdd))
+    throw core::FlowError(
+        "request-parse", "",
+        where + ": temperature_k and vdd must be finite and > 0 (got " +
+            core::corner_detail::shortest(corner.temperature) + " K, " +
+            core::corner_detail::shortest(corner.vdd) + " V)");
+}
+
+}  // namespace
+
 FlowRequest parse_request(const std::string& text) {
   JsonValue doc;
   try {
@@ -563,6 +580,13 @@ FlowRequest parse_request(const std::string& text) {
     }
   } catch (const core::FlowError& e) {
     throw core::FlowError("request-parse", "", e.detail());
+  }
+  if (request.kind == QueryKind::kSweep) {
+    for (std::size_t i = 0; i < request.sweep.corners.size(); ++i)
+      check_physical(request.sweep.corners[i],
+                     "sweep.corners[" + std::to_string(i) + "]");
+  } else {
+    check_physical(request.corner, "corner");
   }
   return request;
 }

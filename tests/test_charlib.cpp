@@ -342,6 +342,101 @@ TEST(Characterizer, ParallelLibraryIsByteIdenticalToSerial) {
   EXPECT_EQ(serial, render(4));
 }
 
+// Exact (bit-level) equality of two characterized cells.
+void expect_same_cell(const CellChar& a, const CellChar& b) {
+  SCOPED_TRACE(a.def.name);
+  EXPECT_EQ(a.def.name, b.def.name);
+  EXPECT_EQ(a.pin_caps, b.pin_caps);
+  ASSERT_EQ(a.leakage.size(), b.leakage.size());
+  for (std::size_t i = 0; i < a.leakage.size(); ++i) {
+    EXPECT_EQ(a.leakage[i].pattern, b.leakage[i].pattern);
+    EXPECT_EQ(a.leakage[i].watts, b.leakage[i].watts);
+  }
+  EXPECT_EQ(a.leakage_avg, b.leakage_avg);
+  EXPECT_EQ(a.setup_time, b.setup_time);
+  EXPECT_EQ(a.hold_time, b.hold_time);
+  EXPECT_EQ(a.failed_arcs, b.failed_arcs);
+  ASSERT_EQ(a.arcs.size(), b.arcs.size());
+  for (std::size_t k = 0; k < a.arcs.size(); ++k) {
+    const NldmArc& x = a.arcs[k];
+    const NldmArc& y = b.arcs[k];
+    EXPECT_EQ(x.input + x.output, y.input + y.output);
+    EXPECT_EQ(x.input_rise, y.input_rise);
+    EXPECT_EQ(x.output_rise, y.output_rise);
+    for (const auto& [p, q] : {std::pair{&x.delay, &y.delay},
+                               std::pair{&x.output_slew, &y.output_slew},
+                               std::pair{&x.energy, &y.energy}}) {
+      ASSERT_EQ(p->rows(), q->rows());
+      ASSERT_EQ(p->cols(), q->cols());
+      for (std::size_t i = 0; i < p->rows(); ++i)
+        for (std::size_t j = 0; j < p->cols(); ++j)
+          EXPECT_EQ(p->at(i, j), q->at(i, j));
+    }
+  }
+}
+
+TEST(Characterizer, PriorityBandPublishesItsCellsAndKeepsTheLibrary) {
+  // A priority set reorders wave two and hands its cells over early; the
+  // library, the unit list and the counters must not notice.
+  CharOptions opt;
+  opt.temperature = 300.0;
+  opt.slews = {2e-12, 8e-12};
+  opt.loads = {1e-15, 4e-15};
+  cells::CatalogOptions copt;
+  copt.only_bases = {"INV", "NAND2", "DFF"};
+  copt.drives = {1, 2};
+  copt.extra_drives_common = {};
+  copt.include_slvt = false;
+  const auto defs = cells::standard_cells(copt);
+  const std::vector<std::string> priority = {"DFF_X1", "NAND2_X2", "NOPE"};
+  auto& runs = obs::registry().counter("charlib.runs");
+  auto& tasks = obs::registry().counter("charlib.tasks");
+
+  std::string reference;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    CharOptions o = opt;
+    o.threads = threads;
+    Characterizer ch(device::golden_nmos(), device::golden_pmos(), o);
+
+    const auto runs0 = runs.value();
+    const auto tasks0 = tasks.value();
+    const Library plain = ch.characterize_all(defs, "mini");
+    const auto plain_tasks = tasks.value() - tasks0;
+    EXPECT_EQ(runs.value() - runs0, 1u);
+
+    std::vector<Library> published;
+    const auto runs1 = runs.value();
+    const auto tasks1 = tasks.value();
+    const Library lib = ch.characterize_all(
+        defs, "mini", priority,
+        [&](Library band) { published.push_back(std::move(band)); });
+    EXPECT_EQ(runs.value() - runs1, 1u);
+    EXPECT_EQ(tasks.value() - tasks1, plain_tasks);
+
+    const std::string text = liberty::write(lib);
+    EXPECT_EQ(text, liberty::write(plain));
+    if (reference.empty()) reference = text;
+    EXPECT_EQ(text, reference);
+
+    ASSERT_EQ(published.size(), 1u);
+    const Library& band = published.front();
+    EXPECT_EQ(band.name, lib.name);
+    EXPECT_EQ(band.temperature, lib.temperature);
+    EXPECT_EQ(band.vdd, lib.vdd);
+    EXPECT_EQ(band.slew_grid, lib.slew_grid);
+    EXPECT_EQ(band.load_grid, lib.load_grid);
+    EXPECT_TRUE(band.quarantined_arcs.empty());
+    // The set's cells in catalog order; names the catalog lacks are skipped.
+    ASSERT_EQ(band.cells.size(), 2u);
+    EXPECT_EQ(band.cells[0].def.name, "NAND2_X2");
+    EXPECT_EQ(band.cells[1].def.name, "DFF_X1");
+    EXPECT_GT(band.cells[1].setup_time, 0.0);
+    for (const CellChar& cell : band.cells)
+      expect_same_cell(cell, lib.at(cell.def.name));
+  }
+}
+
 TEST(Characterizer, QuarantineOrderingIsThreadCountInvariant) {
   // Byte-identity under the arc-parallel path must also hold for the
   // failure side: broken cells interleaved between healthy ones yield the

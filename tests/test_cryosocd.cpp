@@ -248,6 +248,15 @@ TEST(Cryosocd, BadNumericFlagsAreUsageErrors) {
     EXPECT_NE(daemon.stderr_text().find("usage:"), std::string::npos)
         << daemon.stderr_text();
   }
+  // Anchors parse but are not physical temperatures: the flow's config
+  // check refuses them before any request is read.
+  for (const char* anchors : {"nan,10", "-5,10", "0,300"}) {
+    Daemon daemon(daemon_flags({"--interp-anchors", anchors}));
+    daemon.close_stdin();
+    EXPECT_EQ(daemon.wait(), 2) << anchors;
+    EXPECT_NE(daemon.stderr_text().find("[config]"), std::string::npos)
+        << daemon.stderr_text();
+  }
 }
 
 }  // namespace

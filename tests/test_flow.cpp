@@ -3,8 +3,10 @@
 // back to characterizing the full catalog, which is slow but correct.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "classify/kernels.hpp"
 #include "common/units.hpp"
@@ -157,6 +159,24 @@ TEST(Flow, ConfigValidationRejectsNegativeCharacterizeThreads) {
     EXPECT_EQ(e.stage(), "config");
     EXPECT_NE(std::string(e.what()).find("characterize_threads"),
               std::string::npos);
+  }
+}
+
+TEST(Flow, ConfigValidationRejectsNonPhysicalAnchors) {
+  for (const std::vector<double>& anchors :
+       {std::vector<double>{std::nan(""), 10.0}, std::vector<double>{-5.0, 10.0},
+        std::vector<double>{0.0, 300.0},
+        std::vector<double>{10.0, std::numeric_limits<double>::infinity()}}) {
+    FlowConfig config;
+    config.interp_anchor_temps = anchors;
+    try {
+      CryoSocFlow f(config);
+      FAIL() << "expected FlowError{config} for anchor " << anchors[0];
+    } catch (const FlowError& e) {
+      EXPECT_EQ(e.stage(), "config");
+      EXPECT_NE(std::string(e.what()).find("interp_anchor_temps"),
+                std::string::npos);
+    }
   }
 }
 

@@ -132,6 +132,33 @@ TEST(ServeWire, ParseRejectsMalformedRequests) {
   // Right schema and kind but a missing corner.
   EXPECT_EQ(stage_of("{\"schema\":\"cryosoc-req-v1\",\"kind\":\"timing\"}"),
             "request-parse");
+  // Corners that are not physical never reach the flow (a cold corner
+  // would characterize the whole catalog for them), sweep corners
+  // included; 1e400 parses as infinity.
+  const auto at = [](const std::string& kind, const std::string& corner,
+                     const std::string& extra = "") {
+    return "{\"schema\":\"cryosoc-req-v1\",\"kind\":\"" + kind +
+           "\",\"corner\":" + corner + extra + "}";
+  };
+  const std::string sram = ",\"macro\":{\"rows\":64,\"cols\":8}";
+  for (const char* corner :
+       {R"({"vdd":0.7,"temperature_k":-5})", R"({"vdd":0.7,"temperature_k":0})",
+        R"({"vdd":0.7,"temperature_k":1e400})", R"({"vdd":0,"temperature_k":77})",
+        R"({"vdd":-0.7,"temperature_k":77})", R"({"vdd":1e400,"temperature_k":77})"}) {
+    EXPECT_EQ(stage_of(at("leakage", corner)), "request-parse") << corner;
+    EXPECT_EQ(stage_of(at("timing", corner)), "request-parse") << corner;
+    EXPECT_EQ(stage_of(at("sram", corner, sram)), "request-parse") << corner;
+  }
+  EXPECT_EQ(stage_of(at("sram", R"({"vdd":0.7,"temperature_k":4})", sram)),
+            "no-throw");
+  const auto sweep = [](const std::string& second) {
+    return R"({"schema":"cryosoc-req-v1","kind":"sweep","sweep":{"corners":[)"
+           R"({"vdd":0.7,"temperature_k":300},)" +
+           second + "]}}";
+  };
+  EXPECT_EQ(stage_of(sweep(R"({"vdd":0.7,"temperature_k":-5})")),
+            "request-parse");
+  EXPECT_EQ(stage_of(sweep(R"({"vdd":0.7,"temperature_k":10})")), "no-throw");
 }
 
 TEST(ServeWire, ResponseRoundTripsByteIdenticallyForEveryKind) {
@@ -292,6 +319,7 @@ TEST(ServeService, ConcurrentSameCornerStormCoalescesToOneExecution) {
   const std::uint64_t runs0 = counter("charlib.runs");
   const std::uint64_t executed0 = counter("serve.executed");
   const std::uint64_t coalesced0 = counter("serve.coalesced");
+  const std::uint64_t publications0 = counter("flow.partial_publications");
 
   const Corner storm_corner{0.7, 150.0, ""};  // uncached: must characterize
   std::vector<std::shared_future<FlowResponse>> futures;
@@ -308,6 +336,11 @@ TEST(ServeService, ConcurrentSameCornerStormCoalescesToOneExecution) {
   EXPECT_EQ(counter("serve.executed") - executed0, 1u);
   EXPECT_EQ(counter("serve.coalesced") - coalesced0, 31u);
   EXPECT_EQ(counter("charlib.runs") - runs0, 1u);
+  // An INV-only catalog cannot synthesize the SoC, and leakage never asks
+  // for it: the corner characterized whole, and the 300 K corner the
+  // netlist would need was never touched.
+  EXPECT_EQ(counter("flow.partial_publications") - publications0, 0u);
+  EXPECT_FALSE(fs::exists(dir / "cryo5_300k.lib"));
 
   // Every storm response is byte-identical to a direct flow call against
   // the same corner state. (A *fresh* flow would reload the Liberty
