@@ -8,7 +8,9 @@
 // off, which makes both insert and pop O(1) amortized as long as the
 // bucket width tracks the mean inter-event gap; the queue resizes itself
 // (doubling/halving the day count and recalibrating the width from the
-// live event population) whenever the load factor drifts.
+// live event population) whenever the load factor drifts. A rebuild
+// reuses the bucket storage of earlier ones, so a queue that swells and
+// drains every clock edge stops allocating once it has seen its peak.
 //
 // Determinism contract: pops are strictly ordered by (time, sequence)
 // where `sequence` is a monotonic push counter, so equal-time events pop
@@ -21,6 +23,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -37,17 +40,17 @@ class CalendarQueue {
 
   explicit CalendarQueue(std::size_t initial_buckets = kMinBuckets,
                          std::uint64_t initial_width = 1024)
-      : width_(initial_width ? initial_width : 1) {
+      : width_shift_(shift_for(initial_width)) {
     buckets_.resize(round_up_pow2(initial_buckets));
     mask_ = buckets_.size() - 1;
-    bucket_top_ = width_;
+    bucket_top_ = width();
   }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
   // Number of full rebuilds (grow + shrink) since construction.
   std::uint64_t resizes() const { return resizes_; }
-  std::size_t bucket_count() const { return buckets_.size(); }
+  std::size_t bucket_count() const { return mask_ + 1; }
   std::uint64_t last_popped_time() const { return floor_; }
 
   // The sequence number the next push will receive (exposed so callers
@@ -59,7 +62,7 @@ class CalendarQueue {
     const std::uint64_t seq = seq_++;
     insert(Entry{time, seq, std::move(payload)});
     ++size_;
-    if (size_ > 2 * buckets_.size()) rebuild(buckets_.size() * 2);
+    if (size_ > 2 * bucket_count()) rebuild(bucket_count() * 2);
     return seq;
   }
 
@@ -71,21 +74,21 @@ class CalendarQueue {
       std::vector<Entry>& b = buckets_[cursor_];
       if (!b.empty() && b.back().time < bucket_top_) return take(b);
       cursor_ = (cursor_ + 1) & mask_;
-      bucket_top_ += width_;
+      bucket_top_ += width();
     }
     // A full year was empty of due events: the next event is far in the
     // future (or sits in a prior day of a crowded bucket). Find the
     // global minimum directly and jump the cursor to its day.
-    std::size_t best = buckets_.size();
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    std::size_t best = bucket_count();
+    for (std::size_t i = 0; i <= mask_; ++i) {
       const std::vector<Entry>& b = buckets_[i];
       if (b.empty()) continue;
-      if (best == buckets_.size() || precedes(b.back(), buckets_[best].back()))
+      if (best == bucket_count() || precedes(b.back(), buckets_[best].back()))
         best = i;
     }
     const std::uint64_t t = buckets_[best].back().time;
     cursor_ = day_of(t);
-    bucket_top_ = (t / width_ + 1) * width_;
+    bucket_top_ = ((t >> width_shift_) + 1) << width_shift_;
     return take(buckets_[best]);
   }
 
@@ -102,8 +105,15 @@ class CalendarQueue {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
 
+  // Days are a power of two of ticks wide (the requested width rounded
+  // down), so finding an event's day is a shift, not a division.
+  static int shift_for(std::uint64_t width) {
+    return width <= 1 ? 0 : std::bit_width(width) - 1;
+  }
+  std::uint64_t width() const { return std::uint64_t{1} << width_shift_; }
+
   std::size_t day_of(std::uint64_t time) const {
-    return static_cast<std::size_t>(time / width_) & mask_;
+    return static_cast<std::size_t>(time >> width_shift_) & mask_;
   }
 
   // Buckets are kept sorted descending by (time, seq) so the bucket
@@ -121,44 +131,48 @@ class CalendarQueue {
     b.pop_back();
     --size_;
     floor_ = e.time;
-    if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2)
-      rebuild(buckets_.size() / 2);
+    if (bucket_count() > kMinBuckets && size_ < bucket_count() / 2)
+      rebuild(bucket_count() / 2);
     return e;
   }
 
+  // Only buckets [0, bucket_count()) are in use; the ones past it keep
+  // their capacity for the next grow.
   void rebuild(std::size_t new_bucket_count) {
-    std::vector<Entry> all;
-    all.reserve(size_);
+    std::vector<Entry>& all = rebuild_scratch_;
+    all.clear();
     std::uint64_t tmin = ~0ull, tmax = 0;
-    for (std::vector<Entry>& b : buckets_) {
-      for (Entry& e : b) {
+    for (std::size_t i = 0; i <= mask_; ++i) {
+      for (Entry& e : buckets_[i]) {
         tmin = std::min(tmin, e.time);
         tmax = std::max(tmax, e.time);
         all.push_back(std::move(e));
       }
-      b.clear();
+      buckets_[i].clear();
     }
-    buckets_.assign(round_up_pow2(new_bucket_count), {});
-    mask_ = buckets_.size() - 1;
+    const std::size_t count = round_up_pow2(new_bucket_count);
+    if (buckets_.size() < count) buckets_.resize(count);
+    mask_ = count - 1;
     // Recalibrate the day width to ~2x the mean inter-event gap of the
     // live population (Brown's rule of thumb), so a year spans the whole
     // window and a day holds O(1) events.
     if (!all.empty() && tmax > tmin) {
       const std::uint64_t span = tmax - tmin;
-      width_ = std::max<std::uint64_t>(
-          1, 2 * span / static_cast<std::uint64_t>(all.size()));
+      width_shift_ =
+          shift_for(2 * span / static_cast<std::uint64_t>(all.size()));
     }
     for (Entry& e : all) insert(std::move(e));
     cursor_ = day_of(floor_);
-    bucket_top_ = (floor_ / width_ + 1) * width_;
+    bucket_top_ = ((floor_ >> width_shift_) + 1) << width_shift_;
     ++resizes_;
   }
 
   std::vector<std::vector<Entry>> buckets_;
+  std::vector<Entry> rebuild_scratch_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t width_ = 1;
+  int width_shift_ = 0;  // a day spans 2^width_shift_ ticks
   std::size_t cursor_ = 0;          // bucket the sweep is standing on
   std::uint64_t bucket_top_ = 0;    // exclusive time bound of that day
   std::uint64_t floor_ = 0;         // last popped time

@@ -25,33 +25,18 @@ std::uint64_t EventSimulator::to_fs(double seconds) const {
   return fs < 1.0 ? 1 : static_cast<std::uint64_t>(std::llround(fs));
 }
 
-double EventSimulator::net_load(netlist::NetId net) const {
-  if (net == netlist::kNoNet) return 0.0;
-  const auto& sinks = net_sinks_[static_cast<std::size_t>(net)];
-  double load = cfg_.wire_cap_per_fanout * static_cast<double>(sinks.size());
-  for (const auto& [gi, ii] : sinks) {
-    const GateInfo& info = gates_[gi];
-    const auto& ins = info.cell->def.inputs;
-    if (ii < ins.size())
-      load += soft_pin_cap(*info.cell, ins[ii]);
-    else  // clock/enable sink (index past the data inputs)
-      load += soft_pin_cap(*info.cell, info.cell->def.clock);
-  }
-  return load;
-}
-
-std::uint64_t EventSimulator::arc_delay_fs(const GateInfo& info,
+std::uint64_t EventSimulator::arc_delay_fs(const charlib::CellChar& cell,
                                            std::size_t output_index,
                                            std::size_t input_index, bool rise,
                                            double load) const {
-  const auto& def = info.cell->def;
+  const auto& def = cell.def;
   const std::string& out = def.outputs[output_index].name;
   const std::string& in = input_index < def.inputs.size()
                               ? def.inputs[input_index]
                               : def.clock;
   double worst = 0.0;
   bool found = false;
-  for (const auto& arc : info.cell->arcs) {
+  for (const auto& arc : cell.arcs) {
     if (arc.output != out || arc.input != in || arc.output_rise != rise)
       continue;
     if (arc.delay.empty()) continue;
@@ -77,80 +62,120 @@ EventSimulator::EventSimulator(const netlist::Netlist& netlist,
   glitch_counts_.assign(nl_.net_count(), 0);
   pending_seq_.assign(nl_.net_count(), kNoPending);
   pending_value_.assign(nl_.net_count(), 0);
-  net_sinks_.resize(nl_.net_count());
   net_driver_.assign(nl_.net_count(), -1);
 
   const charlib::CellIndex index(library);
+  std::vector<const charlib::CellChar*> cells(nl_.gates().size());
+  std::vector<std::vector<Sink>> net_sinks(nl_.net_count());
   gates_.resize(nl_.gates().size());
   for (std::size_t gi = 0; gi < nl_.gates().size(); ++gi) {
     const auto& gate = nl_.gates()[gi];
     GateInfo& info = gates_[gi];
-    info.cell = &index.at(gate.cell);
-    info.sequential = info.cell->def.sequential;
-    info.is_latch = info.cell->def.is_latch;
-    const auto& def = info.cell->def;
+    cells[gi] = &index.at(gate.cell);
+    const auto& def = cells[gi]->def;
+    const auto g = static_cast<std::uint32_t>(gi);
+    info.sequential = def.sequential;
+    info.is_latch = def.is_latch;
+    info.first_input = static_cast<std::uint32_t>(pins_.size());
+    info.inputs = static_cast<std::uint16_t>(def.inputs.size());
     for (std::size_t ii = 0; ii < def.inputs.size(); ++ii) {
       const netlist::NetId n = gate.pin(def.inputs[ii]);
-      info.inputs.push_back(n);
-      // Flop D pins don't react to data events (they sample on the
-      // edge), but they still load the driving net, so they are sinks
-      // either way; eval_gate() ignores non-latch sequential gates.
+      pins_.push_back(n);
+      // Flop D pins load the driving net too, so every input is a sink
+      // here; the evaluation fanout below leaves the flops out.
       if (n != netlist::kNoNet)
-        net_sinks_[static_cast<std::size_t>(n)].emplace_back(
-            static_cast<std::uint32_t>(gi), static_cast<std::uint32_t>(ii));
+        net_sinks[static_cast<std::size_t>(n)].push_back(
+            {g, static_cast<std::uint32_t>(ii)});
     }
     if (info.sequential) {
       const netlist::NetId c = gate.pin(def.clock);
       info.enable = c;
       if (c != netlist::kNoNet && info.is_latch)
-        net_sinks_[static_cast<std::size_t>(c)].emplace_back(
-            static_cast<std::uint32_t>(gi),
-            static_cast<std::uint32_t>(def.inputs.size()));
+        net_sinks[static_cast<std::size_t>(c)].push_back(
+            {g, static_cast<std::uint32_t>(def.inputs.size())});
+      if (!info.is_latch) flops_.push_back(g);
     }
+    info.first_output = static_cast<std::uint32_t>(outputs_.size());
+    info.outputs = static_cast<std::uint16_t>(def.outputs.size());
     for (const auto& out : def.outputs) {
       const netlist::NetId y = gate.pin(out.name);
-      info.outputs.push_back(y);
+      outputs_.push_back({y, out.truth});
       if (y != netlist::kNoNet)
         net_driver_[static_cast<std::size_t>(y)] = static_cast<int>(gi);
     }
   }
+  // The fanout a commit evaluates: flop D pins load their nets but only
+  // sample at the edge, so they are left out.
+  sink_begin_.reserve(nl_.net_count() + 1);
+  for (const auto& list : net_sinks) {
+    sink_begin_.push_back(static_cast<std::uint32_t>(sinks_.size()));
+    for (const Sink& sink : list) {
+      const GateInfo& info = gates_[sink.gate];
+      if (!info.sequential || info.is_latch) sinks_.push_back(sink);
+    }
+  }
+  sink_begin_.push_back(static_cast<std::uint32_t>(sinks_.size()));
+
+  // A net's load: a stub wire per sink plus each sink pin's capacitance.
+  const auto net_load = [&](netlist::NetId net) {
+    if (net == netlist::kNoNet) return 0.0;
+    const auto& sinks = net_sinks[static_cast<std::size_t>(net)];
+    double load =
+        cfg_.wire_cap_per_fanout * static_cast<double>(sinks.size());
+    for (const Sink& sink : sinks) {
+      const charlib::CellChar& cell = *cells[sink.gate];
+      const auto& ins = cell.def.inputs;
+      if (sink.input < ins.size())
+        load += soft_pin_cap(cell, ins[sink.input]);
+      else  // clock/enable sink (index past the data inputs)
+        load += soft_pin_cap(cell, cell.def.clock);
+    }
+    return load;
+  };
 
   // Delay annotation: per (output, cause input, direction), NLDM at the
-  // output net's actual load. Slot `inputs.size()` holds the worst-case
-  // delay used when no single cause is identifiable (initial settle).
+  // output net's actual load. Slot `inputs` holds the worst-case delay
+  // used when no single cause is identifiable (initial settle).
   for (std::size_t gi = 0; gi < gates_.size(); ++gi) {
     GateInfo& info = gates_[gi];
-    const std::size_t nin = info.inputs.size();
+    const charlib::CellChar& cell = *cells[gi];
+    const std::size_t nin = info.inputs;
+    info.first_delay = static_cast<std::uint32_t>(delay_fs_.size());
     if (info.sequential) {
-      const netlist::NetId q = info.outputs.empty() ? netlist::kNoNet
-                                                    : info.outputs[0];
-      const double load = net_load(q);
-      info.clkq_rise_fs = arc_delay_fs(info, 0, nin, true, load);
-      info.clkq_fall_fs = arc_delay_fs(info, 0, nin, false, load);
+      const double load = net_load(first_output_net(info));
+      delay_fs_.push_back(arc_delay_fs(cell, 0, nin, true, load));
+      delay_fs_.push_back(arc_delay_fs(cell, 0, nin, false, load));
       continue;
     }
-    info.delay_fs.assign(info.outputs.size() * (nin + 1) * 2, 1);
-    for (std::size_t oi = 0; oi < info.outputs.size(); ++oi) {
-      const double load = net_load(info.outputs[oi]);
+    delay_fs_.resize(delay_fs_.size() + info.outputs * (nin + 1) * 2, 1);
+    std::uint64_t* delay = delay_fs_.data() + info.first_delay;
+    for (std::size_t oi = 0; oi < info.outputs; ++oi) {
+      const double load = net_load(outputs_[info.first_output + oi].net);
       std::uint64_t worst_rise = 1, worst_fall = 1;
       for (std::size_t ii = 0; ii < nin; ++ii) {
-        const std::uint64_t r = arc_delay_fs(info, oi, ii, true, load);
-        const std::uint64_t f = arc_delay_fs(info, oi, ii, false, load);
-        info.delay_fs[(oi * (nin + 1) + ii) * 2 + 0] = r;
-        info.delay_fs[(oi * (nin + 1) + ii) * 2 + 1] = f;
+        const std::uint64_t r = arc_delay_fs(cell, oi, ii, true, load);
+        const std::uint64_t f = arc_delay_fs(cell, oi, ii, false, load);
+        delay[(oi * (nin + 1) + ii) * 2 + 0] = r;
+        delay[(oi * (nin + 1) + ii) * 2 + 1] = f;
         worst_rise = std::max(worst_rise, r);
         worst_fall = std::max(worst_fall, f);
       }
-      info.delay_fs[(oi * (nin + 1) + nin) * 2 + 0] = worst_rise;
-      info.delay_fs[(oi * (nin + 1) + nin) * 2 + 1] = worst_fall;
+      delay[(oi * (nin + 1) + nin) * 2 + 0] = worst_rise;
+      delay[(oi * (nin + 1) + nin) * 2 + 1] = worst_fall;
     }
   }
 
-  for (const auto& m : nl_.srams()) srams_[m.name] = {};
+  for (const auto& m : nl_.srams()) {
+    SramPort port;
+    port.macro = &m;
+    port.mem = &srams_[m.name];
+    port.stats = &macro_stats_[m.name];
+    sram_ports_.push_back(port);
+  }
 
   // Initial settle: seed every gate once (worst-case cause) at t = 0.
   for (std::size_t gi = 0; gi < gates_.size(); ++gi)
-    eval_gate(gi, gates_[gi].inputs.size(), 0);
+    eval_gate(gi, gates_[gi].inputs, 0);
   drain();
 }
 
@@ -179,32 +204,32 @@ void EventSimulator::eval_gate(std::size_t gate_index,
                                std::uint64_t now_fs) {
   GateInfo& info = gates_[gate_index];
   if (info.sequential && !info.is_latch) return;  // edge-triggered only
+  const netlist::NetId* inputs = pins_.data() + info.first_input;
   std::uint32_t pattern = 0;
-  for (std::size_t i = 0; i < info.inputs.size(); ++i) {
-    const netlist::NetId n = info.inputs[i];
+  for (std::size_t i = 0; i < info.inputs; ++i) {
+    const netlist::NetId n = inputs[i];
     if (n != netlist::kNoNet && values_[static_cast<std::size_t>(n)])
       pattern |= (1u << i);
   }
+  const std::uint64_t* delay = delay_fs_.data() + info.first_delay;
   if (info.is_latch) {
     const bool en = info.enable != netlist::kNoNet &&
                     values_[static_cast<std::size_t>(info.enable)];
     if (!en) return;  // opaque: holds state
     const char d = (pattern & 1u) ? 1 : 0;
     info.state = d;
-    const netlist::NetId q =
-        info.outputs.empty() ? netlist::kNoNet : info.outputs[0];
-    schedule_output(q, d != 0,
-                    now_fs + (d ? info.clkq_rise_fs : info.clkq_fall_fs));
+    schedule_output(first_output_net(info), d != 0,
+                    now_fs + delay[d ? 0 : 1]);
     return;
   }
-  const std::size_t nin = info.inputs.size();
+  const std::size_t nin = info.inputs;
   const std::size_t cause = std::min(cause_input, nin);
-  for (std::size_t oi = 0; oi < info.outputs.size(); ++oi) {
-    const netlist::NetId y = info.outputs[oi];
+  const Output* outputs = outputs_.data() + info.first_output;
+  for (std::size_t oi = 0; oi < info.outputs; ++oi) {
+    const netlist::NetId y = outputs[oi].net;
     if (y == netlist::kNoNet) continue;
-    const bool v = info.cell->def.eval(oi, pattern);
-    const std::uint64_t d =
-        info.delay_fs[(oi * (nin + 1) + cause) * 2 + (v ? 0 : 1)];
+    const bool v = (outputs[oi].truth >> pattern) & 1u;
+    const std::uint64_t d = delay[(oi * (nin + 1) + cause) * 2 + (v ? 0 : 1)];
     schedule_output(y, v, now_fs + d);
   }
 }
@@ -216,7 +241,8 @@ void EventSimulator::commit(netlist::NetId net, bool value,
   ++toggle_counts_[ni];
   ++total_toggles_;
   ++stats_.events;
-  for (const auto& [gi, ii] : net_sinks_[ni]) eval_gate(gi, ii, now_fs);
+  for (std::uint32_t k = sink_begin_[ni]; k < sink_begin_[ni + 1]; ++k)
+    eval_gate(sinks_[k].gate, sinks_[k].input, now_fs);
 }
 
 void EventSimulator::drain() {
@@ -280,9 +306,11 @@ void EventSimulator::set_bus(const std::vector<netlist::NetId>& bus,
     ++stats_.events;
     scratch_.push_back(bus[i]);
   }
-  for (const netlist::NetId n : scratch_)
-    for (const auto& [gi, ii] : net_sinks_[static_cast<std::size_t>(n)])
-      eval_gate(gi, ii, stats_.now_fs);
+  for (const netlist::NetId n : scratch_) {
+    const auto ni = static_cast<std::size_t>(n);
+    for (std::uint32_t k = sink_begin_[ni]; k < sink_begin_[ni + 1]; ++k)
+      eval_gate(sinks_[k].gate, sinks_[k].input, stats_.now_fs);
+  }
   drain();
 }
 
@@ -294,58 +322,47 @@ void EventSimulator::clock_edge() {
   ++stats_.edges;
 
   // Phase 1: sample every flop D and SRAM port before anything moves.
-  for (std::size_t gi = 0; gi < gates_.size(); ++gi) {
+  for (const std::uint32_t gi : flops_) {
     GateInfo& info = gates_[gi];
-    if (!info.sequential || info.is_latch) continue;
     const netlist::NetId d =
-        info.inputs.empty() ? netlist::kNoNet : info.inputs[0];
+        info.inputs ? pins_[info.first_input] : netlist::kNoNet;
     const char v =
         (d != netlist::kNoNet && values_[static_cast<std::size_t>(d)]) ? 1
                                                                        : 0;
     if (info.state == v) continue;
     info.state = v;
-    const netlist::NetId q =
-        info.outputs.empty() ? netlist::kNoNet : info.outputs[0];
-    schedule_output(q, v != 0,
-                    t_edge + (v ? info.clkq_rise_fs : info.clkq_fall_fs));
+    schedule_output(first_output_net(info), v != 0,
+                    t_edge + delay_fs_[info.first_delay + (v ? 0 : 1)]);
   }
-  struct SramOp {
-    const netlist::SramMacro* macro;
-    std::uint64_t addr = 0;
-    std::uint64_t din = 0;
-    bool we = false;
-  };
-  std::vector<SramOp> ops;
-  ops.reserve(nl_.srams().size());
-  for (const auto& m : nl_.srams()) {
-    SramOp op;
-    op.macro = &m;
+  for (SramPort& port : sram_ports_) {
+    const netlist::SramMacro& m = *port.macro;
+    port.addr = 0;
     for (std::size_t i = 0; i < m.address.size(); ++i)
       if (values_[static_cast<std::size_t>(m.address[i])])
-        op.addr |= (1ull << i);
+        port.addr |= (1ull << i);
+    port.din = 0;
     for (std::size_t i = 0; i < m.data_in.size() && i < 64; ++i)
       if (values_[static_cast<std::size_t>(m.data_in[i])])
-        op.din |= (1ull << i);
-    op.we = m.write_enable != netlist::kNoNet &&
-            values_[static_cast<std::size_t>(m.write_enable)];
-    ops.push_back(op);
+        port.din |= (1ull << i);
+    port.we = m.write_enable != netlist::kNoNet &&
+              values_[static_cast<std::size_t>(m.write_enable)];
   }
   // Phase 2: commit writes and launch data_out after the access delay.
-  for (const auto& op : ops) {
-    auto& mem = srams_[op.macro->name];
-    const std::uint64_t row =
-        op.addr % static_cast<std::uint64_t>(op.macro->rows);
-    MacroStats& ms = macro_stats_[op.macro->name];
-    if (op.we) ++ms.writes;
+  for (const SramPort& port : sram_ports_) {
+    const netlist::SramMacro& m = *port.macro;
+    auto& mem = *port.mem;
+    const std::uint64_t row = port.addr % static_cast<std::uint64_t>(m.rows);
+    MacroStats& ms = *port.stats;
+    if (port.we) ++ms.writes;
     if (row != ms.last_addr) {
       ++ms.reads;
       ms.last_addr = row;
     }
-    if (op.we) mem[row] = op.din;
+    if (port.we) mem[row] = port.din;
     const auto it = mem.find(row);
     const std::uint64_t dout = it == mem.end() ? 0 : it->second;
-    for (std::size_t i = 0; i < op.macro->data_out.size() && i < 64; ++i)
-      schedule_output(op.macro->data_out[i], (dout >> i) & 1u,
+    for (std::size_t i = 0; i < m.data_out.size() && i < 64; ++i)
+      schedule_output(m.data_out[i], (dout >> i) & 1u,
                       t_edge + sram_delay_fs_);
   }
   drain();

@@ -21,6 +21,12 @@
 //   * per-net toggle and glitch counters accumulate the measured
 //     switching activity that power analysis consumes (activity.hpp).
 //
+// The constructor resolves everything a clock edge needs: the list of
+// edge-triggered flops (an edge visits those, not every gate) and, per
+// SRAM macro, its word memory and MacroStats entry (no string-keyed
+// lookup per edge). Each gate carries its outputs' truth tables, so an
+// evaluation touches only the gate's own record.
+//
 // Determinism contract: events are totally ordered by (time, sequence)
 // in the calendar queue and fanout is walked in netlist order, so two
 // runs of the same stimulus produce byte-identical values, counters, and
@@ -65,6 +71,9 @@ class EventSimulator {
  public:
   EventSimulator(const netlist::Netlist& netlist,
                  const charlib::Library& library, EventSimConfig config = {});
+  // The resolved SRAM ports point into this object's own maps.
+  EventSimulator(const EventSimulator&) = delete;
+  EventSimulator& operator=(const EventSimulator&) = delete;
 
   // Drives a primary input (or any net) at the current time and runs the
   // event queue dry (all downstream transitions committed).
@@ -109,28 +118,42 @@ class EventSimulator {
     char value = 0;
   };
 
+  // A gate's record; its pins, truth tables and delays live in flat
+  // arrays shared by all gates, so an evaluation reads a few adjacent
+  // words instead of following per-gate heap vectors.
   struct GateInfo {
-    const charlib::CellChar* cell = nullptr;
-    std::vector<netlist::NetId> inputs;
-    std::vector<netlist::NetId> outputs;
+    std::uint32_t first_input = 0;   // inputs: pins_[first_input + i]
+    std::uint32_t first_output = 0;  // outputs: outputs_[first_output + o]
+    // Combinational: per output, per driving input, the propagation
+    // delay [fs] of a rising and a falling output transition (NLDM at
+    // nominal slew, actual load), at
+    // delay_fs_[first_delay + (o * (inputs + 1) + i) * 2 + (rise ? 0 : 1)].
+    // Sequential: the clk->Q rise and fall delays.
+    std::uint32_t first_delay = 0;
+    std::uint16_t inputs = 0;
+    std::uint16_t outputs = 0;
     netlist::NetId enable = netlist::kNoNet;  // clock (DFF) / enable (latch)
     bool sequential = false;
     bool is_latch = false;
     char state = 0;
-    // Per output, per driving input: propagation delay [fs] for a rising
-    // and falling output transition (NLDM at nominal slew, actual load).
-    // Flat layout: delay[(oi * inputs + ii) * 2 + (rise ? 0 : 1)].
-    std::vector<std::uint64_t> delay_fs;
-    // Sequential clk->Q delays [fs].
-    std::uint64_t clkq_rise_fs = 0;
-    std::uint64_t clkq_fall_fs = 0;
+  };
+  struct Output {
+    netlist::NetId net = netlist::kNoNet;
+    std::uint32_t truth = 0;  // CellDef's table (combinational outputs)
+  };
+  struct Sink {
+    std::uint32_t gate = 0;
+    std::uint32_t input = 0;  // index past the data inputs: clock/enable
   };
 
   std::uint64_t to_fs(double seconds) const;
-  std::uint64_t arc_delay_fs(const GateInfo& info, std::size_t output_index,
+  std::uint64_t arc_delay_fs(const charlib::CellChar& cell,
+                             std::size_t output_index,
                              std::size_t input_index, bool rise,
                              double load) const;
-  double net_load(netlist::NetId net) const;
+  netlist::NetId first_output_net(const GateInfo& info) const {
+    return info.outputs ? outputs_[info.first_output].net : netlist::kNoNet;
+  }
 
   // Projects the net's future value (pending target if any, else current)
   // and schedules/cancels so exactly the needed transition is in flight.
@@ -160,9 +183,14 @@ class EventSimulator {
   std::vector<char> pending_value_;
 
   std::vector<GateInfo> gates_;
-  // net -> (gate index, input index) sinks, in netlist order.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-      net_sinks_;
+  std::vector<netlist::NetId> pins_;  // every gate's inputs, gate order
+  std::vector<Output> outputs_;       // every gate's outputs, gate order
+  std::vector<std::uint64_t> delay_fs_;
+  std::vector<std::uint32_t> flops_;  // edge-triggered gates, netlist order
+  // net -> the sinks a transition evaluates, in netlist order:
+  // sinks_[sink_begin_[n], sink_begin_[n + 1]).
+  std::vector<std::uint32_t> sink_begin_;
+  std::vector<Sink> sinks_;
   std::vector<int> net_driver_;  // net -> driving gate (-1: primary/SRAM)
   std::vector<netlist::NetId> scratch_;  // set_bus changed-net workspace
 
@@ -171,6 +199,18 @@ class EventSimulator {
 
   std::map<std::string, std::map<std::uint64_t, std::uint64_t>> srams_;
   std::map<std::string, MacroStats> macro_stats_;
+
+  // One per SRAM macro, in netlist order: its resolved memory and stats
+  // plus the port values sampled at the current edge.
+  struct SramPort {
+    const netlist::SramMacro* macro = nullptr;
+    std::map<std::uint64_t, std::uint64_t>* mem = nullptr;
+    MacroStats* stats = nullptr;
+    std::uint64_t addr = 0;
+    std::uint64_t din = 0;
+    bool we = false;
+  };
+  std::vector<SramPort> sram_ports_;
 };
 
 }  // namespace cryo::gatesim

@@ -50,10 +50,24 @@ std::int64_t sext32(std::uint64_t v) {
   return static_cast<std::int32_t>(static_cast<std::uint32_t>(v));
 }
 
+// fcvt.l.d (round toward zero) saturates: NaN and anything >= 2^63 give
+// INT64_MAX, anything <= -2^63 gives INT64_MIN.
+std::int64_t fcvt_l_d(double d) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (std::isnan(d) || d >= kTwo63) return INT64_MAX;
+  if (d <= -kTwo63) return INT64_MIN;
+  return static_cast<std::int64_t>(std::trunc(d));
+}
+
+constexpr std::size_t kDecodedEntries = 1024;
+
 }  // namespace
 
 Cpu::Cpu(CpuConfig config)
-    : cfg_(config), l1i_(config.l1i), l1d_(config.l1d), l2_(config.l2) {}
+    : cfg_(config), l1i_(config.l1i), l1d_(config.l1d), l2_(config.l2) {
+  const Instruction zero = decode(0);
+  decoded_.assign(kDecodedEntries, Decoded{zero, class_of(zero.op)});
+}
 
 void Cpu::load_program(const Program& program) {
   for (std::size_t i = 0; i < program.words.size(); ++i)
@@ -76,22 +90,8 @@ void Cpu::reset_perf() {
   ready_at_.fill(0);
 }
 
-void Cpu::access_icache(std::uint64_t addr) {
-  if (l1i_.access(addr)) return;
-  ++perf_.l1i_misses;
-  if (l2_.access(addr)) {
-    perf_.cycles += static_cast<std::uint64_t>(cfg_.l2_hit_penalty);
-    perf_.stall_cycles += static_cast<std::uint64_t>(cfg_.l2_hit_penalty);
-  } else {
-    ++perf_.l2_misses;
-    perf_.cycles += static_cast<std::uint64_t>(cfg_.mem_penalty);
-    perf_.stall_cycles += static_cast<std::uint64_t>(cfg_.mem_penalty);
-  }
-}
-
-void Cpu::access_dcache(std::uint64_t addr) {
-  if (l1d_.access(addr)) return;
-  ++perf_.l1d_misses;
+void Cpu::l1_miss(std::uint64_t& l1_misses, std::uint64_t addr) {
+  ++l1_misses;
   if (l2_.access(addr)) {
     perf_.cycles += static_cast<std::uint64_t>(cfg_.l2_hit_penalty);
     perf_.stall_cycles += static_cast<std::uint64_t>(cfg_.l2_hit_penalty);
@@ -118,9 +118,14 @@ Cpu::RunResult Cpu::run(std::uint64_t entry, std::uint64_t max_instructions) {
   };
 
   while (result.instructions < max_instructions) {
-    access_icache(pc_);
+    if (!l1i_.access(pc_)) l1_miss(perf_.l1i_misses, pc_);
     const std::uint32_t word = mem_.read32(pc_);
-    const Instruction instr = decode(word);
+    Decoded& memo = decoded_[(pc_ >> 2) & (kDecodedEntries - 1)];
+    if (memo.instr.raw != word) {
+      memo.instr = decode(word);
+      memo.cls = class_of(memo.instr.op);
+    }
+    const Instruction& instr = memo.instr;
     if (instr.op == Op::kInvalid)
       throw std::runtime_error("cpu: illegal instruction at pc=" +
                                std::to_string(pc_));
@@ -151,7 +156,7 @@ Cpu::RunResult Cpu::run(std::uint64_t entry, std::uint64_t max_instructions) {
           perf_.cycles + static_cast<std::uint64_t>(latency);
     };
 
-    const OpClass cls = class_of(instr.op);
+    const OpClass cls = memo.cls;
     // Source interlocks.
     switch (cls) {
       case OpClass::kFpu:
@@ -216,7 +221,7 @@ Cpu::RunResult Cpu::run(std::uint64_t entry, std::uint64_t max_instructions) {
       case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
       case Op::kLbu: case Op::kLhu: case Op::kLwu: {
         const std::uint64_t addr = a + static_cast<std::uint64_t>(imm);
-        access_dcache(addr);
+        if (!l1d_.access(addr)) l1_miss(perf_.l1d_misses, addr);
         ++perf_.loads;
         std::uint64_t v = 0;
         switch (instr.op) {
@@ -243,7 +248,7 @@ Cpu::RunResult Cpu::run(std::uint64_t entry, std::uint64_t max_instructions) {
       }
       case Op::kFld: {
         const std::uint64_t addr = a + static_cast<std::uint64_t>(imm);
-        access_dcache(addr);
+        if (!l1d_.access(addr)) l1_miss(perf_.l1d_misses, addr);
         ++perf_.loads;
         fregs_[rd] = mem_.read64(addr);
         mark_ready(32 + static_cast<int>(rd), cfg_.load_use_delay + 1);
@@ -251,7 +256,7 @@ Cpu::RunResult Cpu::run(std::uint64_t entry, std::uint64_t max_instructions) {
       }
       case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd: {
         const std::uint64_t addr = a + static_cast<std::uint64_t>(imm);
-        access_dcache(addr);
+        if (!l1d_.access(addr)) l1_miss(perf_.l1d_misses, addr);
         ++perf_.stores;
         const int bytes = instr.op == Op::kSb   ? 1
                           : instr.op == Op::kSh ? 2
@@ -262,7 +267,7 @@ Cpu::RunResult Cpu::run(std::uint64_t entry, std::uint64_t max_instructions) {
       }
       case Op::kFsd: {
         const std::uint64_t addr = a + static_cast<std::uint64_t>(imm);
-        access_dcache(addr);
+        if (!l1d_.access(addr)) l1_miss(perf_.l1d_misses, addr);
         ++perf_.stores;
         mem_.write64(addr, fregs_[rs2]);
         break;
@@ -343,8 +348,12 @@ Cpu::RunResult Cpu::run(std::uint64_t entry, std::uint64_t max_instructions) {
         set_rd(static_cast<std::uint64_t>(sext32(a * b)));
         mark_ready(static_cast<int>(rd), cfg_.mul_latency);
         break;
+      // Signed overflow (INT_MIN / -1) gives quotient = dividend and
+      // remainder = 0, as the spec says; sb == -1 is negation throughout.
       case Op::kDiv:
-        set_rd(b == 0 ? ~0ull : static_cast<std::uint64_t>(sa / sb));
+        set_rd(b == 0    ? ~0ull
+               : sb == -1 ? 0 - a
+                          : static_cast<std::uint64_t>(sa / sb));
         perf_.cycles += static_cast<std::uint64_t>(cfg_.div_latency - 1);
         break;
       case Op::kDivu:
@@ -352,7 +361,9 @@ Cpu::RunResult Cpu::run(std::uint64_t entry, std::uint64_t max_instructions) {
         perf_.cycles += static_cast<std::uint64_t>(cfg_.div_latency - 1);
         break;
       case Op::kRem:
-        set_rd(b == 0 ? a : static_cast<std::uint64_t>(sa % sb));
+        set_rd(b == 0    ? a
+               : sb == -1 ? 0
+                          : static_cast<std::uint64_t>(sa % sb));
         perf_.cycles += static_cast<std::uint64_t>(cfg_.div_latency - 1);
         break;
       case Op::kRemu:
@@ -361,18 +372,20 @@ Cpu::RunResult Cpu::run(std::uint64_t entry, std::uint64_t max_instructions) {
         break;
       case Op::kDivw:
         set_rd(static_cast<std::uint64_t>(sext32(
-            b == 0 ? ~0u
-                   : static_cast<std::uint32_t>(
-                         static_cast<std::int32_t>(a) /
-                         static_cast<std::int32_t>(b)))));
+            static_cast<std::uint32_t>(b) == 0 ? ~0u
+            : static_cast<std::int32_t>(b) == -1
+                ? 0u - static_cast<std::uint32_t>(a)
+                : static_cast<std::uint32_t>(static_cast<std::int32_t>(a) /
+                                             static_cast<std::int32_t>(b)))));
         perf_.cycles += static_cast<std::uint64_t>(cfg_.div_latency - 1);
         break;
       case Op::kRemw:
         set_rd(static_cast<std::uint64_t>(sext32(
-            b == 0 ? a
-                   : static_cast<std::uint32_t>(
-                         static_cast<std::int32_t>(a) %
-                         static_cast<std::int32_t>(b)))));
+            static_cast<std::uint32_t>(b) == 0 ? a
+            : static_cast<std::int32_t>(b) == -1
+                ? 0u
+                : static_cast<std::uint32_t>(static_cast<std::int32_t>(a) %
+                                             static_cast<std::int32_t>(b)))));
         perf_.cycles += static_cast<std::uint64_t>(cfg_.div_latency - 1);
         break;
       case Op::kFaddD:
@@ -413,8 +426,8 @@ Cpu::RunResult Cpu::run(std::uint64_t entry, std::uint64_t max_instructions) {
                    ? 1 : 0);
         break;
       case Op::kFcvtLD:
-        set_rd(static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            std::trunc(bits_to_double(fregs_[rs1])))));
+        set_rd(static_cast<std::uint64_t>(
+            fcvt_l_d(bits_to_double(fregs_[rs1]))));
         mark_ready(static_cast<int>(rd), cfg_.fpu_latency);
         break;
       case Op::kFcvtDL:

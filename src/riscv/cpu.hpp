@@ -14,6 +14,14 @@
 //   * taken branches flush the front end (`branch_taken_penalty`),
 //   * `cpop` retires in one cycle when Zbb is enabled, and traps as an
 //     illegal instruction otherwise (the paper's RISC-V lacks popcount).
+//
+// Fast paths, none of which moves a count: memory goes through Memory's
+// page cache; decode() and class_of() are memoized per pc in a
+// direct-mapped table whose entries are checked against the word just
+// fetched, so a store into code or a host write through memory() needs
+// no invalidation; the caches index by shift and mask and hit a repeat of
+// the previous access's line without a scan. A copied Cpu owns its own
+// memory.
 #pragma once
 
 #include <array>
@@ -123,8 +131,16 @@ class Cpu {
   const Cache& l2() const { return l2_; }
 
  private:
-  void access_icache(std::uint64_t addr);
-  void access_dcache(std::uint64_t addr);
+  // An L1 miss at `addr`: counts it in `l1_misses` and charges the L2
+  // hit or memory penalty.
+  void l1_miss(std::uint64_t& l1_misses, std::uint64_t addr);
+
+  // One decode memo entry: the decode of `instr.raw`, valid for any pc
+  // whose fetched word equals it.
+  struct Decoded {
+    Instruction instr;
+    OpClass cls = OpClass::kSystem;
+  };
 
   CpuConfig cfg_;
   Memory mem_;
@@ -139,6 +155,7 @@ class Cpu {
   // are indices 32..63.
   std::array<std::uint64_t, 64> ready_at_{};
   std::vector<TraceEntry>* trace_ = nullptr;
+  std::vector<Decoded> decoded_;  // direct-mapped by pc / 4
 };
 
 }  // namespace cryo::riscv

@@ -217,5 +217,55 @@ TEST(Kernels, EmptyMeasurementsRejected) {
   EXPECT_THROW(run_knn_kernel(cpu, knn, {}), std::invalid_argument);
 }
 
+// --- Golden counts -------------------------------------------------------------
+
+// Exact ISS counters of both kernels on a fixed small input, recorded
+// with the straightforward simulator (byte-wise memory, a decode per
+// fetch, division-indexed caches). The fast paths must reproduce every
+// count bit for bit: Table 2's cycles per classification are these
+// numbers.
+struct GoldenPerf {
+  std::uint64_t instructions, cycles, stall_cycles, l1i_misses, l1d_misses,
+      l2_misses, label_hash;
+};
+
+void expect_golden(const KernelStats& s, const GoldenPerf& g) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const int label : s.labels)
+    hash = (hash ^ static_cast<std::uint64_t>(label)) * 1099511628211ull;
+  EXPECT_TRUE(s.matches_host);
+  EXPECT_EQ(s.perf.instructions, g.instructions);
+  EXPECT_EQ(s.perf.cycles, g.cycles);
+  EXPECT_EQ(s.perf.stall_cycles, g.stall_cycles);
+  EXPECT_EQ(s.perf.l1i_misses, g.l1i_misses);
+  EXPECT_EQ(s.perf.l1d_misses, g.l1d_misses);
+  EXPECT_EQ(s.perf.l2_misses, g.l2_misses);
+  EXPECT_EQ(hash, g.label_hash);
+}
+
+TEST(Kernels, GoldenPerfCounts) {
+  qubit::ReadoutModel model(27, 2022);
+  const auto ms = model.sample_all(12);
+  const KnnClassifier knn(model.calibration());
+  const HdcClassifier hdc(model.calibration());
+  riscv::Cpu knn_cpu, hdc_cpu;
+  expect_golden(run_knn_kernel(knn_cpu, knn, ms),
+                {8101, 10367, 1620, 0, 0, 0, 7425938689941070484ull});
+  expect_golden(run_hdc_kernel(hdc_cpu, hdc, ms),
+                {29841, 44383, 11304, 0, 240, 0, 17703733402779256857ull});
+
+  // Caches small enough that the measured pass misses at every level.
+  riscv::CpuConfig tiny;
+  tiny.l1i = {256, 1, 64};
+  tiny.l1d = {1024, 2, 32};
+  tiny.l2 = {4096, 4, 64};
+  riscv::Cpu knn_tiny(tiny), hdc_tiny(tiny);
+  expect_golden(run_knn_kernel(knn_tiny, knn, ms),
+                {8101, 25551, 16804, 0, 540, 128, 7425938689941070484ull});
+  expect_golden(run_hdc_kernel(hdc_tiny, hdc, ms),
+                {29841, 124039, 90960, 1301, 1126, 795,
+                 17703733402779256857ull});
+}
+
 }  // namespace
 }  // namespace cryo::classify

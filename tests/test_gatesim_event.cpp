@@ -4,10 +4,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/flow.hpp"
 #include "gatesim/activity.hpp"
 #include "gatesim/calendar_queue.hpp"
 #include "gatesim/event_sim.hpp"
 #include "gatesim/gatesim.hpp"
+#include "liberty/liberty.hpp"
 #include "netlist/soc_gen.hpp"
 #include "obs/metrics.hpp"
 #include "riscv/workloads.hpp"
@@ -403,6 +405,32 @@ TEST_F(SocActivity, ExtractionIsByteDeterministic) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.glitches, b.glitches);
   EXPECT_EQ(a.net_toggles, b.net_toggles);
+}
+
+// Exact counts recorded with the straightforward simulators (every gate
+// scanned per clock edge, string-keyed SRAM lookups, byte-wise ISS
+// memory): the fast paths must reproduce them bit for bit.
+TEST_F(SocActivity, GoldenCounts) {
+  EXPECT_EQ(trace().size(), 5018u);
+  EXPECT_EQ(trace().back().cycle, 11598u);
+  const auto deck = make_soc_deck(soc(), trace(), 40);
+  ActivityExtractor extractor(soc(), lib());
+  const auto act = extractor.extract(deck, 1e9);
+  EXPECT_EQ(act.events, 3833u);
+  EXPECT_EQ(act.glitches, 508u);
+  EXPECT_EQ(act.fingerprint(), 10686948223381342463ull);
+
+  // The characterized 300 K library: per-arc NLDM delays, so inertial
+  // cancellation and the clk->Q / SRAM access timing all take part.
+  const auto lib300 =
+      liberty::read_file(core::default_lib_dir() + "/cryo5_300k.lib");
+  ActivityExtractor timed(soc(), lib300);
+  const auto timed_act = timed.extract(deck, 1e9);
+  EXPECT_EQ(timed_act.events, 3879u);
+  EXPECT_EQ(timed_act.glitches, 470u);
+  EXPECT_EQ(timed_act.fingerprint(), 10640373555744797162ull);
+  // When the last transition landed: moves with any per-arc delay.
+  EXPECT_EQ(timed.simulator().stats().now_fs, 40542056u);
 }
 
 TEST_F(SocActivity, ObsCountersAccumulate) {

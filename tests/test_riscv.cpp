@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "riscv/cpu.hpp"
@@ -187,6 +189,77 @@ TEST(Cache, MissRate) {
 TEST(Cache, RejectsBadConfig) {
   EXPECT_THROW(Cache({0, 2, 64}), std::invalid_argument);
   EXPECT_THROW(Cache({64, 4, 64}), std::invalid_argument);  // zero sets
+  EXPECT_THROW(Cache({384, 2, 48}), std::invalid_argument);  // 48 B lines
+  EXPECT_THROW(Cache({384, 2, 64}), std::invalid_argument);  // 3 sets
+}
+
+// The cache model as it was before shift-and-mask indexing: set and tag
+// by division. The oracle for the randomized equivalence test below.
+class DivisionCache {
+ public:
+  explicit DivisionCache(CacheConfig c)
+      : cfg_(c),
+        sets_(static_cast<std::uint64_t>(c.size_bytes / (c.ways * c.line_bytes))),
+        tags_(sets_ * static_cast<std::uint64_t>(c.ways), ~0ull),
+        stamps_(tags_.size(), 0) {}
+
+  bool access(std::uint64_t addr) {
+    const std::uint64_t line = addr / static_cast<std::uint64_t>(cfg_.line_bytes);
+    const std::size_t base =
+        static_cast<std::size_t>(line % sets_) * static_cast<std::size_t>(cfg_.ways);
+    const std::uint64_t tag = line / sets_;
+    ++clock_;
+    for (int w = 0; w < cfg_.ways; ++w)
+      if (tags_[base + w] == tag) {
+        stamps_[base + w] = clock_;
+        return true;
+      }
+    std::size_t victim = base;
+    for (int w = 1; w < cfg_.ways; ++w)
+      if (stamps_[base + w] < stamps_[victim]) victim = base + w;
+    tags_[victim] = tag;
+    stamps_[victim] = clock_;
+    return false;
+  }
+
+ private:
+  CacheConfig cfg_;
+  std::uint64_t sets_;
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> stamps_;
+  std::uint64_t clock_ = 0;
+};
+
+TEST(Cache, ShiftMaskMatchesDivisionReference) {
+  // The default geometry plus the L1 and L2 sizes ablation_cache sweeps.
+  const CacheConfig configs[] = {
+      CpuConfig{}.l1d,   CpuConfig{}.l2,    {4 * 1024, 4, 64},
+      {64 * 1024, 4, 64}, {128 * 1024, 8, 64}, {2048 * 1024, 8, 64}};
+  for (const CacheConfig& cfg : configs) {
+    Cache fast(cfg);
+    DivisionCache reference(cfg);
+    Rng rng(static_cast<std::uint64_t>(cfg.size_bytes));
+    const auto span = static_cast<std::uint64_t>(cfg.size_bytes) * 3;
+    std::uint64_t addr = 0;
+    std::uint64_t misses = 0;
+    for (int i = 0; i < 200'000; ++i) {
+      // Mostly short strides (spatial reuse), sometimes a jump anywhere in
+      // three cache sizes' worth of lines, sometimes a far-away tag.
+      const std::uint64_t r = rng.word();
+      if (r % 8 == 0)
+        addr = rng.word() % span;
+      else if (r % 97 == 0)
+        addr = rng.word();
+      else
+        addr += r % 24;
+      const bool hit = reference.access(addr);
+      ASSERT_EQ(fast.access(addr), hit)
+          << cfg.size_bytes << " B, access " << i << " at " << addr;
+      misses += !hit;
+    }
+    EXPECT_EQ(fast.misses(), misses);
+    EXPECT_GT(misses, 1000u);  // the stream exercises eviction
+  }
 }
 
 // --- Execution semantics -------------------------------------------------------
@@ -299,6 +372,124 @@ TEST(Cpu, DivisionEdgeCases) {
   EXPECT_EQ(cpu.reg(12), ~0ull);           // div by zero => -1
   EXPECT_EQ(cpu.reg(13), 7u);              // rem by zero => dividend
   EXPECT_EQ(static_cast<std::int64_t>(cpu.reg(16)), -3);
+
+  // Signed overflow, INT_MIN / -1, where the host's division would trap:
+  // the quotient is the dividend and the remainder 0. The W forms divide
+  // the low words only, so a divisor whose low word is 0 divides by zero.
+  const auto q = assemble(R"(
+    li t0, 1
+    slli t0, t0, 63    # INT64_MIN
+    li t1, -1
+    div a0, t0, t1
+    rem a1, t0, t1
+    li t2, 1
+    slli t2, t2, 31    # INT32_MIN in the low word
+    divw a2, t2, t1
+    remw a3, t2, t1
+    li t3, 1
+    slli t3, t3, 32
+    divw a4, t2, t3
+    remw a5, t2, t3
+    ebreak
+  )");
+  Cpu overflow;
+  overflow.load_program(q);
+  overflow.run(q.base, 100);
+  EXPECT_EQ(overflow.reg(10), 1ull << 63);
+  EXPECT_EQ(overflow.reg(11), 0u);
+  EXPECT_EQ(overflow.reg(12), 0xFFFFFFFF80000000ull);
+  EXPECT_EQ(overflow.reg(13), 0u);
+  EXPECT_EQ(overflow.reg(14), ~0ull);
+  EXPECT_EQ(overflow.reg(15), 0xFFFFFFFF80000000ull);
+}
+
+TEST(Cpu, FcvtLdSaturates) {
+  // fcvt.l.d rounds toward zero and saturates: NaN and everything at or
+  // above 2^63 give INT64_MAX, everything at or below -2^63 INT64_MIN.
+  const auto p = assemble("fcvt.l.d a0, fa0\nebreak");
+  constexpr double kTwo63 = 9223372036854775808.0;
+  const std::pair<double, std::int64_t> cases[] = {
+      {std::nan(""), INT64_MAX},
+      {INFINITY, INT64_MAX},
+      {-INFINITY, INT64_MIN},
+      {1e300, INT64_MAX},
+      {-1e300, INT64_MIN},
+      {9.3e18, INT64_MAX},
+      {-9.3e18, INT64_MIN},
+      {kTwo63, INT64_MAX},
+      {-kTwo63, INT64_MIN},
+      {9.2e18, 9'200'000'000'000'000'000},
+      {3.7, 3},
+      {-3.7, -3}};
+  for (const auto& [in, out] : cases) {
+    Cpu cpu;
+    cpu.load_program(p);
+    cpu.set_freg(10, in);
+    cpu.run(p.base, 10);
+    EXPECT_EQ(static_cast<std::int64_t>(cpu.reg(10)), out) << in;
+  }
+}
+
+TEST(Cpu, StoreIntoExecutedCodeTakesEffect) {
+  // The loop body's addi runs once, then the loop overwrites it with
+  // `addi a0, a0, 100`; the decode memo must see the new word.
+  const std::uint32_t add100 = encode({Op::kAddi, 10, 10, 0, 100});
+  const auto p = assemble(R"(
+      li t1, )" + std::to_string(add100) + R"(
+      li t2, 2
+      li a0, 0
+    loop:
+    target:
+      addi a0, a0, 1
+      la t0, target
+      sw t1, 0(t0)
+      addi t2, t2, -1
+      bnez t2, loop
+      ebreak
+  )");
+  Cpu cpu;
+  cpu.load_program(p);
+  cpu.run(p.base, 100);
+  EXPECT_EQ(cpu.reg(10), 101u);
+}
+
+TEST(Cpu, HostWriteBetweenRunsTakesEffect) {
+  const auto p = assemble("addi a0, a0, 1\nebreak");
+  Cpu cpu;
+  cpu.load_program(p);
+  cpu.run(p.base, 10);
+  EXPECT_EQ(cpu.reg(10), 1u);
+  cpu.memory().write32(p.base, encode({Op::kAddi, 10, 10, 0, 50}));
+  cpu.run(p.base, 10);
+  EXPECT_EQ(cpu.reg(10), 51u);
+}
+
+TEST(Cpu, CopyOwnsItsMemory) {
+  static_assert(std::is_copy_constructible_v<Cpu> &&
+                std::is_copy_assignable_v<Cpu>);
+  const auto p = assemble("ld a0, 0(a1)\nebreak");
+  constexpr std::uint64_t kData = 0x20000;
+  Cpu a;
+  a.load_program(p);
+  a.memory().write64(kData, 7);
+  a.set_reg(11, kData);
+  a.run(p.base, 10);  // warms a's page cache and decode memo
+  ASSERT_EQ(a.reg(10), 7u);
+
+  Cpu b = a;
+  b.memory().write64(kData, 9);
+  a.memory().write64(kData, 5);
+  b.run(p.base, 10);
+  a.run(p.base, 10);
+  EXPECT_EQ(b.reg(10), 9u);
+  EXPECT_EQ(a.reg(10), 5u);
+
+  Cpu c;
+  c = b;
+  c.memory().write64(kData, 3);
+  c.run(p.base, 10);
+  EXPECT_EQ(c.reg(10), 3u);
+  EXPECT_EQ(b.memory().read64(kData), 9u);
 }
 
 // --- Timing model ---------------------------------------------------------------
@@ -408,10 +599,60 @@ TEST(Cpu, IllegalInstructionThrows) {
 TEST(Memory, SparseAndWide) {
   Memory m;
   EXPECT_EQ(m.read64(0x123456789ull), 0u);  // untouched = zero
+  EXPECT_EQ(m.page_count(), 0u);            // ...and reading maps nothing
   m.write64(0x123456789ull, 0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(m.read64(0x123456789ull), 0xDEADBEEFCAFEF00Dull);
   m.write_double(64, 3.25);
   EXPECT_DOUBLE_EQ(m.read_double(64), 3.25);
+  EXPECT_EQ(m.page_count(), 2u);
+}
+
+TEST(Memory, WordAccessAtPageEndsMatchesBytewiseModel) {
+  // Widths 2, 4 and 8 at each offset 4089..4095 of a page, so the last
+  // ones straddle into the next page, mapped or not.
+  constexpr std::uint64_t kPage = 0x7000;
+  for (const bool next_mapped : {false, true}) {
+    for (const int width : {2, 4, 8}) {
+      for (std::uint64_t off = 4089; off <= 4095; ++off) {
+        Memory m;
+        std::map<std::uint64_t, std::uint8_t> model;  // mapped bytes only
+        const std::uint64_t end = kPage + 4096 + (next_mapped ? 16 : 0);
+        for (std::uint64_t a = kPage + 4080; a < end; ++a) {
+          model[a] = static_cast<std::uint8_t>(a * 37 + 11);
+          m.write8(a, model[a]);
+        }
+        const auto byte = [&](std::uint64_t a) -> std::uint64_t {
+          const auto it = model.find(a);
+          return it == model.end() ? 0 : it->second;
+        };
+        const std::uint64_t addr = kPage + off;
+        std::uint64_t want = 0;
+        for (int i = 0; i < width; ++i) want |= byte(addr + i) << (8 * i);
+        EXPECT_EQ(m.read(addr, width), want) << width << " @ " << off;
+        EXPECT_EQ(m.page_count(), next_mapped ? 2u : 1u);
+
+        const std::uint64_t value = 0x0123456789ABCDEFull;
+        m.write(addr, value, width);
+        for (int i = 0; i < width; ++i)
+          model[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
+        for (std::uint64_t a = kPage + 4080; a < kPage + 4096 + 16; ++a)
+          EXPECT_EQ(m.read8(a), byte(a)) << width << " @ " << off;
+        EXPECT_EQ(m.page_count(), next_mapped || off + width > 4096 ? 2u : 1u);
+      }
+    }
+  }
+}
+
+TEST(Memory, CopyDoesNotAliasPages) {
+  Memory a;
+  a.write64(0x1000, 1);
+  EXPECT_EQ(a.read64(0x1000), 1u);  // a's page cache now holds the page
+  Memory b = a;
+  b.write64(0x1000, 2);
+  EXPECT_EQ(a.read64(0x1000), 1u);
+  a = b;
+  a.write64(0x1000, 3);
+  EXPECT_EQ(b.read64(0x1000), 2u);
 }
 
 }  // namespace
