@@ -34,13 +34,26 @@ std::string write(const charlib::Library& library);
 // std::runtime_error) on I/O failure.
 void write_file(const charlib::Library& library, const std::string& path);
 
-// Parses Liberty text produced by write(). Throws std::runtime_error with
-// a line number on malformed input.
+// Parses Liberty text produced by write(), in one pass that builds the
+// Library as its groups close; unknown attributes and groups are checked
+// for syntax and skipped.
+//
+// Numbers are read with std::from_chars, which is correctly rounded, so
+// every number write() emits reads back to the same bits strtod gives.
+// A number must be one whole token (or one whole entry of a quoted list)
+// and finite: `1.5abc`, `+1`, `1e999` and `inf` are errors.
+//
+// Any malformed input throws std::runtime_error naming its line: bad
+// syntax, a bad number, a cell name that is not the catalog's
+// BASE_X<drive>[_SLVT] with a drive of 1..64, a grid that is empty or not
+// strictly increasing, a cell before lu_table_template, a pin's timing()
+// before its direction, or groups nested more than 16 deep (the subset
+// nests six, library to rise_power). Malformed input throws nothing else.
 charlib::Library parse(const std::string& text);
 
-// Reads and parses a Liberty file. I/O failures throw core::FlowError
-// with stage "liberty-io"; malformed content throws stage "liberty-parse"
-// carrying parse()'s line-numbered message and the file path.
+// Reads a Liberty file with one read and parses it. I/O failures throw
+// core::FlowError with stage "liberty-io"; malformed content throws stage
+// "liberty-parse" carrying parse()'s line-numbered message and the path.
 charlib::Library read_file(const std::string& path);
 
 // ---- Artifact manifest sidecars ----------------------------------------

@@ -77,19 +77,21 @@ struct Perf {
 // material gate-level activity extraction turns into a workload vector
 // deck (cryo::gatesim). Values are captured at retire, so the entry
 // carries both the fetch side (pc, encoding) and the datapath side
-// (operands, writeback value, memory address).
+// (operands, writeback value, memory address). The encoding sits beside
+// the flags so an entry packs into 56 bytes, not 64.
 struct TraceEntry {
   std::uint64_t pc = 0;
-  std::uint32_t word = 0;  // raw 32-bit encoding
   std::uint64_t rs1_value = 0;
   std::uint64_t rs2_value = 0;
   std::uint64_t wb_value = 0;   // rd after execution (0 for x0)
   std::uint64_t mem_addr = 0;   // load/store effective address
   std::uint64_t cycle = 0;      // perf cycle count at retire
+  std::uint32_t word = 0;       // raw 32-bit encoding
   bool is_load = false;
   bool is_store = false;
   bool branch_taken = false;
 };
+static_assert(sizeof(TraceEntry) == 56);
 
 class Cpu {
  public:

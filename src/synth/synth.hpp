@@ -32,7 +32,13 @@ struct SynthReport {
   std::size_t gates_total = 0;
 };
 
-// Runs both passes in place; returns what changed.
+// Runs both passes in place; returns what changed. Each call resolves the
+// library once: every cell's family of drive variants (same base and
+// flavor, sorted by drive) and every gate's cell become indices, and each
+// net's sinks are (gate, conn) pairs. Cell delays at the reference slew
+// are remembered per (cell, exact load): worst_delay is a pure function,
+// so the netlist comes out as if each had been computed afresh. Throws
+// std::invalid_argument when options.max_fanout is below 1.
 SynthReport optimize(netlist::Netlist& nl, const charlib::Library& library,
                      const SynthOptions& options = {});
 

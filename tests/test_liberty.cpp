@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "charlib/characterizer.hpp"
+#include "core/artifacts.hpp"
+#include "core/error.hpp"
+#include "core/flow.hpp"
 #include "liberty/liberty.hpp"
 
 namespace cryo::liberty {
@@ -101,9 +107,160 @@ TEST(Liberty, RoundTripPreservesLeakageAndConstraints) {
   }
 }
 
+// Everything the reader fills in, as bytes: strings with their lengths,
+// doubles as their bit patterns. Hashed with core::fnv1a64.
+class LibraryBits {
+ public:
+  explicit LibraryBits(const charlib::Library& lib) {
+    str(lib.name);
+    raw(lib.temperature);
+    raw(lib.vdd);
+    nums(lib.slew_grid);
+    nums(lib.load_grid);
+    raw(lib.cells.size());
+    for (const auto& cell : lib.cells) {
+      str(cell.def.name);
+      raw(cell.def.area);
+      raw(cell.leakage_avg);
+      raw(cell.leakage.size());
+      for (const auto& state : cell.leakage) {
+        raw(state.pattern);
+        raw(state.watts);
+      }
+      raw(cell.pin_caps.size());
+      for (const auto& [pin, cap] : cell.pin_caps) {
+        str(pin);
+        raw(cap);
+      }
+      raw(cell.setup_time);
+      raw(cell.hold_time);
+      raw(cell.arcs.size());
+      for (const auto& arc : cell.arcs) {
+        str(arc.input);
+        str(arc.output);
+        raw(arc.input_rise);
+        raw(arc.output_rise);
+        for (const Table2D* t : {&arc.delay, &arc.output_slew, &arc.energy}) {
+          nums(t->axis1());
+          nums(t->axis2());
+          nums(t->values());
+        }
+      }
+    }
+  }
+
+  std::uint64_t hash() const { return core::fnv1a64(bytes_); }
+
+ private:
+  template <class T>
+  void raw(const T& v) {
+    bytes_.append(reinterpret_cast<const char*>(&v), sizeof v);
+  }
+  void str(const std::string& s) {
+    raw(s.size());
+    bytes_ += s;
+  }
+  void nums(const std::vector<double>& v) {
+    raw(v.size());
+    for (double x : v) raw(x);
+  }
+
+  std::string bytes_;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+// Recorded from the reader as it stood before the one-pass rewrite: any
+// change in how a committed artifact's bytes become doubles shows here.
+TEST(Liberty, CommittedLibrariesParseToGoldenBits) {
+  const std::string dir = core::default_lib_dir();
+  EXPECT_EQ(LibraryBits(read_file(dir + "/cryo5_300k.lib")).hash(),
+            0xf8c3ae75e5dcffd7ull);
+  EXPECT_EQ(LibraryBits(read_file(dir + "/cryo5_10k.lib")).hash(),
+            0x89c95df0d50ff9a0ull);
+}
+
+TEST(Liberty, CommittedLibrariesRewriteByteForByte) {
+  const std::string dir = core::default_lib_dir();
+  for (const char* file : {"/cryo5_300k.lib", "/cryo5_10k.lib"}) {
+    const std::string text = slurp(dir + file);
+    ASSERT_GT(text.size(), 1000000u) << file;
+    // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print 3 MB twice.
+    EXPECT_TRUE(write(read_file(dir + file)) == text) << file;
+  }
+}
+
+// A library small enough to break by hand, one statement per line.
+const std::string kTiny =
+    "library (tiny) {\n"                                         // 1
+    "  nom_temperature : 300;\n"                                 // 2
+    "  lu_table_template (tmpl) {\n"                             // 3
+    "    index_1 (\"0.01, 0.02\");\n"                            // 4
+    "    index_2 (\"0.001, 0.002\");\n"                          // 5
+    "  }\n"                                                      // 6
+    "  cell (INV_X1) {\n"                                        // 7
+    "    area : 0.5;\n"                                          // 8
+    "    pin (A) { direction : input; capacitance : 0.001; }\n"  // 9
+    "  }\n"                                                      // 10
+    "}\n";
+
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  text.replace(text.find(from), from.size(), to);
+  return text;
+}
+
 TEST(Liberty, ParseRejectsGarbage) {
   EXPECT_THROW(parse("not a library"), std::runtime_error);
   EXPECT_THROW(parse("library (x) { cell (y) {"), std::runtime_error);
+
+  const auto tiny = parse(kTiny);
+  ASSERT_EQ(tiny.cells.size(), 1u);
+  EXPECT_EQ(tiny.temperature, 300.0);
+  EXPECT_EQ(tiny.cells[0].def.area, 0.5);
+
+  std::string nest;
+  for (int i = 0; i < 100000; ++i) nest += "g () { ";
+  nest += std::string(100000, '}');
+  const struct {
+    std::string text;
+    int line;
+  } cases[] = {
+      {replaced(kTiny, "0.01, 0.02", "abc"), 4},
+      {replaced(kTiny, "300", "hot"), 2},
+      {replaced(kTiny, "0.5", "zz"), 8},
+      {replaced(kTiny, "0.001;", "1e999;"), 9},
+      // A number must be the whole token, not a prefix of it.
+      {replaced(kTiny, "0.5", "1.5abc"), 8},
+      {replaced(kTiny, "INV_X1", "INV_Xq"), 7},
+      {replaced(kTiny, "INV_X1", "FOO_X1"), 7},
+      {replaced(kTiny, "    area", nest + "area"), 8},
+  };
+  const std::string path = ::testing::TempDir() + "/garbage.lib";
+  for (const auto& c : cases) {
+    const std::string at_line = "at line " + std::to_string(c.line);
+    try {
+      (void)parse(c.text);
+      ADD_FAILURE() << "accepted:\n" << c.text.substr(0, 400);
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(at_line), std::string::npos)
+          << e.what();
+    }
+    std::ofstream(path) << c.text;
+    try {
+      (void)read_file(path);
+      ADD_FAILURE() << "read_file accepted:\n" << c.text.substr(0, 400);
+    } catch (const core::FlowError& e) {
+      EXPECT_EQ(e.stage(), "liberty-parse");
+      EXPECT_EQ(e.path(), path);
+      EXPECT_NE(e.detail().find(at_line), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Liberty, FileRoundTrip) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "charlib/characterizer.hpp"
+#include "core/artifacts.hpp"
+#include "core/flow.hpp"
+#include "liberty/liberty.hpp"
+#include "netlist/soc_gen.hpp"
 #include "power/power.hpp"
 #include "sram/sram.hpp"
 #include "sta/sta.hpp"
@@ -156,6 +160,10 @@ TEST(Synth, BuffersHighFanout) {
     nl.add_gate("sink" + std::to_string(i), "INV_X1",
                 {{"A", hub}, {"Y", y}});
   }
+  synth::SynthOptions no_fanout;
+  no_fanout.max_fanout = 0;  // no group size to split sinks by
+  EXPECT_THROW(synth::optimize(nl, mini_lib(), no_fanout),
+               std::invalid_argument);
   const auto report = synth::optimize(nl, mini_lib());
   EXPECT_GT(report.buffers_inserted, 4u);
   // After buffering, no net drives more than max_fanout gate pins.
@@ -180,6 +188,32 @@ TEST(Synth, SizingUpsizesLoadedDrivers) {
   }
   synth::optimize(nl, mini_lib());
   EXPECT_NE(nl.gates()[0].cell, "INV_X1");  // upsized
+}
+
+// Recorded before sizing moved to resolved cell indices and a delay memo:
+// the SoC optimized against the committed 300 K library, gate for gate
+// and net for net.
+TEST(Synth, SocGolden) {
+  auto nl = netlist::build_soc();
+  const auto lib =
+      liberty::read_file(core::default_lib_dir() + "/cryo5_300k.lib");
+  const auto report = synth::optimize(nl, lib);
+  EXPECT_EQ(report.buffers_inserted, 1820u);
+  EXPECT_EQ(report.gates_resized, 1993u);
+  EXPECT_EQ(report.gates_total, 20097u);
+  std::string bytes;
+  const auto add = [&](const std::string& s) {
+    bytes += std::to_string(s.size()) + ':' + s;
+  };
+  for (const auto& gate : nl.gates()) {
+    add(gate.name);
+    add(gate.cell);
+    for (const auto& [pin, net] : gate.conns)
+      add(pin + '=' + std::to_string(net));
+  }
+  for (std::size_t n = 0; n < nl.net_count(); ++n)
+    add(nl.net_name(static_cast<netlist::NetId>(n)));
+  EXPECT_EQ(core::fnv1a64(bytes), 0x6b9a2955770bbbfeull);
 }
 
 TEST(Synth, ExpressionMapping) {
