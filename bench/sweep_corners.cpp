@@ -104,7 +104,7 @@ int main() {
   const int threads = static_cast<int>(std::max(4u, exec::thread_count()));
   report.set_threads(static_cast<unsigned>(threads));
 
-  sweep::SweepRequest request;
+  serve::SweepQuery request;
   if (quick) {
     // CI smoke: leakage-only keeps the SoC (full catalog) out of the run.
     request.run_timing = false;
@@ -368,7 +368,7 @@ int main() {
     if (!quick) (void)iflow.soc();
 
     const std::size_t points = 20;
-    sweep::SweepRequest dense;
+    serve::SweepQuery dense;
     for (std::size_t i = 0; i < points; ++i)
       dense.corners.push_back(iflow.corner(
           10.0 + (300.0 - 10.0) * double(i) / double(points - 1)));

@@ -14,31 +14,19 @@ namespace {
                            ": " + message + " in '" + line + "'");
 }
 
-// One pending machine instruction; `symbol` non-empty means the immediate
-// is a label whose value is patched in pass 2 (pc-relative for
-// branches/jumps, absolute for lui/addi pairs from `la`).
+// One pending word with the statement it came from, so an error found in
+// pass 2 names its line. `symbol` non-empty means the immediate is a
+// label whose value is patched in pass 2 (pc-relative for branches/jumps,
+// absolute for lui/addi pairs from `la`).
 struct Slot {
   Instruction instr;
   std::string symbol;
-  enum class Patch { kNone, kBranch, kJal, kAbsHi, kAbsLo } patch =
-      Patch::kNone;
+  enum class Patch { kNone, kPcRel, kAbsHi, kAbsLo } patch = Patch::kNone;
   bool is_data = false;
   std::uint32_t data = 0;
+  int line_no = 0;
+  std::string stmt;
 };
-
-std::int64_t parse_imm(const std::string& s, int line_no,
-                       const std::string& line) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t v = std::stoll(s, &used, 0);
-    if (used != s.size()) fail(line_no, line, "bad immediate '" + s + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(line_no, line, "bad immediate '" + s + "'");
-  } catch (const std::out_of_range&) {
-    fail(line_no, line, "immediate out of range '" + s + "'");
-  }
-}
 
 class Assembler {
  public:
@@ -62,7 +50,9 @@ class Assembler {
       stmt = std::string(trim(stmt.substr(colon + 1)));
     }
     if (stmt.empty()) return;
-    parse_instruction(stmt, line_no);
+    line_no_ = line_no;
+    stmt_ = stmt;
+    parse_instruction();
   }
 
   Program finish() {
@@ -71,7 +61,7 @@ class Assembler {
     p.symbols = symbols_;
     p.words.reserve(slots_.size());
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-      Slot slot = slots_[i];
+      Slot& slot = slots_[i];
       if (slot.is_data) {
         p.words.push_back(slot.data);
         continue;
@@ -79,13 +69,12 @@ class Assembler {
       if (!slot.symbol.empty()) {
         const auto it = symbols_.find(slot.symbol);
         if (it == symbols_.end())
-          throw std::runtime_error("assembler: undefined symbol " +
-                                   slot.symbol);
+          fail(slot.line_no, slot.stmt,
+               "undefined symbol '" + slot.symbol + "'");
         const std::uint64_t target = it->second;
         const std::uint64_t pc = base_ + i * 4;
         switch (slot.patch) {
-          case Slot::Patch::kBranch:
-          case Slot::Patch::kJal:
+          case Slot::Patch::kPcRel:
             slot.instr.imm =
                 static_cast<std::int64_t>(target) -
                 static_cast<std::int64_t>(pc);
@@ -102,15 +91,23 @@ class Assembler {
             break;
         }
       }
-      p.words.push_back(encode(slot.instr));
+      try {
+        p.words.push_back(encode(slot.instr));
+      } catch (const std::invalid_argument& e) {
+        fail(slot.line_no, slot.stmt, e.what());
+      }
     }
     return p;
   }
 
  private:
+  [[noreturn]] void error(const std::string& message) const {
+    fail(line_no_, stmt_, message);
+  }
+
   void emit(Instruction instr, const std::string& symbol = "",
             Slot::Patch patch = Slot::Patch::kNone) {
-    slots_.push_back({instr, symbol, patch, false, 0});
+    slots_.push_back({instr, symbol, patch, false, 0, line_no_, stmt_});
   }
   void emit_data(std::uint32_t word) {
     Slot s;
@@ -119,31 +116,38 @@ class Assembler {
     slots_.push_back(s);
   }
 
-  int xreg(const std::string& s, int line_no, const std::string& line) {
+  int xreg(const std::string& s) const {
     const auto r = parse_int_register(s);
-    if (!r) fail(line_no, line, "bad register '" + s + "'");
+    if (!r) error("bad register '" + s + "'");
     return *r;
   }
-  int freg(const std::string& s, int line_no, const std::string& line) {
+  int freg(const std::string& s) const {
     const auto r = parse_fp_register(s);
-    if (!r) fail(line_no, line, "bad fp register '" + s + "'");
+    if (!r) error("bad fp register '" + s + "'");
     return *r;
   }
 
+  std::int64_t imm(const std::string& s) const {
+    try {
+      std::size_t used = 0;
+      const std::int64_t v = std::stoll(s, &used, 0);
+      if (used != s.size()) error("bad immediate '" + s + "'");
+      return v;
+    } catch (const std::invalid_argument&) {
+      error("bad immediate '" + s + "'");
+    } catch (const std::out_of_range&) {
+      error("immediate out of range '" + s + "'");
+    }
+  }
+
   // Parses "imm(reg)" into (imm, reg).
-  std::pair<std::int64_t, int> mem_operand(const std::string& s, int line_no,
-                                           const std::string& line) {
+  std::pair<std::int64_t, int> mem_operand(const std::string& s) const {
     const auto open = s.find('(');
-    const auto close = s.rfind(')');
-    if (open == std::string::npos || close == std::string::npos)
-      fail(line_no, line, "bad memory operand '" + s + "'");
+    if (open == std::string::npos || s.back() != ')')
+      error("bad memory operand '" + s + "'");
     const std::string imm_str(trim(s.substr(0, open)));
-    const std::int64_t imm =
-        imm_str.empty() ? 0 : parse_imm(imm_str, line_no, line);
-    const int reg =
-        xreg(std::string(trim(s.substr(open + 1, close - open - 1))),
-             line_no, line);
-    return {imm, reg};
+    return {imm_str.empty() ? 0 : imm(imm_str),
+            xreg(std::string(trim(s.substr(open + 1, s.size() - open - 2))))};
   }
 
   // Full 64-bit constant materialization (LLVM RISCVMatInt style).
@@ -176,23 +180,54 @@ class Assembler {
     if (lo12 != 0) emit({Op::kAddi, rd, rd, 0, lo12});
   }
 
-  void parse_instruction(const std::string& stmt, int line_no) {
+  // Fills the instruction of `row` from the operands, one per letter of
+  // its operand list (see OpInfo).
+  void emit_row(const OpInfo& row, const std::vector<std::string>& ops) {
+    Instruction in;
+    in.op = row.op;
+    std::string label;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      switch (row.operands[i]) {
+        case 'd': in.rd = xreg(ops[i]); break;
+        case 's': in.rs1 = xreg(ops[i]); break;
+        case 't': in.rs2 = xreg(ops[i]); break;
+        case 'D': in.rd = freg(ops[i]); break;
+        case 'S': in.rs1 = freg(ops[i]); break;
+        case 'T': in.rs2 = freg(ops[i]); break;
+        case 'i': in.imm = imm(ops[i]); break;
+        case 'u':
+          in.imm = static_cast<std::int64_t>(
+              static_cast<std::uint64_t>(imm(ops[i])) << 12);
+          break;
+        case 'm': {
+          const auto [offset, base] = mem_operand(ops[i]);
+          in.imm = offset;
+          in.rs1 = base;
+          break;
+        }
+        case 'l': label = ops[i]; break;
+      }
+    }
+    emit(in, label, label.empty() ? Slot::Patch::kNone : Slot::Patch::kPcRel);
+  }
+
+  void parse_instruction() {
     // Split mnemonic and comma-separated operands.
-    const auto space = stmt.find_first_of(" \t");
+    const auto space = stmt_.find_first_of(" \t");
     const std::string mnem =
-        lower(space == std::string::npos ? stmt : stmt.substr(0, space));
+        lower(space == std::string::npos ? stmt_ : stmt_.substr(0, space));
     std::vector<std::string> ops;
     if (space != std::string::npos) {
-      for (const auto& o : split(stmt.substr(space + 1), ','))
+      for (const auto& o : split(stmt_.substr(space + 1), ','))
         ops.emplace_back(trim(o));
     }
     auto need = [&](std::size_t n) {
       if (ops.size() != n)
-        fail(line_no, stmt, "expected " + std::to_string(n) + " operands");
+        error("expected " + std::to_string(n) + " operands");
     };
-    auto X = [&](std::size_t i) { return xreg(ops[i], line_no, stmt); };
-    auto F = [&](std::size_t i) { return freg(ops[i], line_no, stmt); };
-    auto I = [&](std::size_t i) { return parse_imm(ops[i], line_no, stmt); };
+    auto X = [&](std::size_t i) { return xreg(ops[i]); };
+    auto F = [&](std::size_t i) { return freg(ops[i]); };
+    auto I = [&](std::size_t i) { return imm(ops[i]); };
 
     // Directives.
     if (mnem == ".word") {
@@ -208,129 +243,30 @@ class Assembler {
       return;
     }
 
-    static const std::map<std::string, Op> kRType = {
-        {"add", Op::kAdd},   {"sub", Op::kSub},   {"sll", Op::kSll},
-        {"slt", Op::kSlt},   {"sltu", Op::kSltu}, {"xor", Op::kXor},
-        {"srl", Op::kSrl},   {"sra", Op::kSra},   {"or", Op::kOr},
-        {"and", Op::kAnd},   {"addw", Op::kAddw}, {"subw", Op::kSubw},
-        {"sllw", Op::kSllw}, {"srlw", Op::kSrlw}, {"sraw", Op::kSraw},
-        {"mul", Op::kMul},   {"mulh", Op::kMulh}, {"mulhu", Op::kMulhu},
-        {"div", Op::kDiv},   {"divu", Op::kDivu}, {"rem", Op::kRem},
-        {"remu", Op::kRemu}, {"mulw", Op::kMulw}, {"divw", Op::kDivw},
-        {"remw", Op::kRemw}};
-    static const std::map<std::string, Op> kIType = {
-        {"addi", Op::kAddi},   {"slti", Op::kSlti},  {"sltiu", Op::kSltiu},
-        {"xori", Op::kXori},   {"ori", Op::kOri},    {"andi", Op::kAndi},
-        {"slli", Op::kSlli},   {"srli", Op::kSrli},  {"srai", Op::kSrai},
-        {"addiw", Op::kAddiw}, {"slliw", Op::kSlliw},
-        {"srliw", Op::kSrliw}, {"sraiw", Op::kSraiw}};
-    static const std::map<std::string, Op> kLoads = {
-        {"lb", Op::kLb},   {"lh", Op::kLh},   {"lw", Op::kLw},
-        {"ld", Op::kLd},   {"lbu", Op::kLbu}, {"lhu", Op::kLhu},
-        {"lwu", Op::kLwu}};
-    static const std::map<std::string, Op> kStores = {
-        {"sb", Op::kSb}, {"sh", Op::kSh}, {"sw", Op::kSw}, {"sd", Op::kSd}};
-    static const std::map<std::string, Op> kBranches = {
-        {"beq", Op::kBeq},   {"bne", Op::kBne},   {"blt", Op::kBlt},
-        {"bge", Op::kBge},   {"bltu", Op::kBltu}, {"bgeu", Op::kBgeu}};
-    static const std::map<std::string, Op> kFpR = {
-        {"fadd.d", Op::kFaddD}, {"fsub.d", Op::kFsubD},
-        {"fmul.d", Op::kFmulD}, {"fdiv.d", Op::kFdivD}};
-    static const std::map<std::string, Op> kFpCmp = {
-        {"feq.d", Op::kFeqD}, {"flt.d", Op::kFltD}, {"fle.d", Op::kFleD}};
-
-    if (const auto it = kRType.find(mnem); it != kRType.end()) {
-      need(3);
-      emit({it->second, X(0), X(1), X(2), 0});
+    // The second operand forms of jal and jalr.
+    if (mnem == "jal" && ops.size() == 1) {  // jal label == jal ra, label
+      emit({Op::kJal, 1, 0, 0, 0}, ops[0], Slot::Patch::kPcRel);
       return;
     }
-    if (const auto it = kIType.find(mnem); it != kIType.end()) {
-      need(3);
-      emit({it->second, X(0), X(1), 0, I(2)});
-      return;
-    }
-    if (const auto it = kLoads.find(mnem); it != kLoads.end()) {
-      need(2);
-      const auto [imm, rs1] = mem_operand(ops[1], line_no, stmt);
-      emit({it->second, X(0), rs1, 0, imm});
-      return;
-    }
-    if (const auto it = kStores.find(mnem); it != kStores.end()) {
-      need(2);
-      const auto [imm, rs1] = mem_operand(ops[1], line_no, stmt);
-      emit({it->second, 0, rs1, X(0), imm});
-      return;
-    }
-    if (const auto it = kBranches.find(mnem); it != kBranches.end()) {
-      need(3);
-      emit({it->second, 0, X(0), X(1), 0}, ops[2], Slot::Patch::kBranch);
-      return;
-    }
-    if (const auto it = kFpR.find(mnem); it != kFpR.end()) {
-      need(3);
-      emit({it->second, F(0), F(1), F(2), 0});
-      return;
-    }
-    if (const auto it = kFpCmp.find(mnem); it != kFpCmp.end()) {
-      need(3);
-      emit({it->second, X(0), F(1), F(2), 0});
-      return;
-    }
-
-    if (mnem == "lui") {
-      need(2);
-      emit({Op::kLui, X(0), 0, 0, I(1) << 12});
-      return;
-    }
-    if (mnem == "auipc") {
-      need(2);
-      emit({Op::kAuipc, X(0), 0, 0, I(1) << 12});
-      return;
-    }
-    if (mnem == "jal") {
-      if (ops.size() == 1) {  // jal label == jal ra, label
-        emit({Op::kJal, 1, 0, 0, 0}, ops[0], Slot::Patch::kJal);
-        return;
-      }
-      need(2);
-      emit({Op::kJal, X(0), 0, 0, 0}, ops[1], Slot::Patch::kJal);
-      return;
-    }
-    if (mnem == "jalr") {
-      if (ops.size() == 2) {
-        const auto [imm, rs1] = mem_operand(ops[1], line_no, stmt);
-        emit({Op::kJalr, X(0), rs1, 0, imm});
-        return;
-      }
-      need(3);
+    if (mnem == "jalr" && ops.size() == 3) {
       emit({Op::kJalr, X(0), X(1), 0, I(2)});
       return;
     }
-    if (mnem == "fld" || mnem == "fsd") {
-      need(2);
-      const auto [imm, rs1] = mem_operand(ops[1], line_no, stmt);
-      if (mnem == "fld")
-        emit({Op::kFld, F(0), rs1, 0, imm});
-      else
-        emit({Op::kFsd, 0, rs1, F(0), imm});
+
+    for (const OpInfo& row : op_table()) {
+      if (mnem != row.mnemonic) continue;
+      need(std::string_view(row.operands).size());
+      emit_row(row, ops);
       return;
     }
-    if (mnem == "fsqrt.d") { need(2); emit({Op::kFsqrtD, F(0), F(1), 0, 0}); return; }
-    if (mnem == "fcvt.l.d") { need(2); emit({Op::kFcvtLD, X(0), F(1), 0, 0}); return; }
-    if (mnem == "fcvt.d.l") { need(2); emit({Op::kFcvtDL, F(0), X(1), 0, 0}); return; }
-    if (mnem == "fmv.x.d") { need(2); emit({Op::kFmvXD, X(0), F(1), 0, 0}); return; }
-    if (mnem == "fmv.d.x") { need(2); emit({Op::kFmvDX, F(0), X(1), 0, 0}); return; }
-    if (mnem == "fmv.d" || mnem == "fsgnj.d") {
-      need(2 + (mnem == "fsgnj.d" ? 1 : 0));
-      const int rs = F(1);
-      emit({Op::kFsgnjD, F(0), rs, mnem == "fsgnj.d" ? F(2) : rs, 0});
-      return;
-    }
-    if (mnem == "cpop") { need(2); emit({Op::kCpop, X(0), X(1), 0, 0}); return; }
-    if (mnem == "ecall") { emit({Op::kEcall, 0, 0, 0, 0}); return; }
-    if (mnem == "ebreak") { emit({Op::kEbreak, 0, 0, 0, 0}); return; }
 
     // ---- Pseudo instructions ----------------------------------------
+    if (mnem == "fmv.d") {
+      need(2);
+      const int rs = F(1);
+      emit({Op::kFsgnjD, F(0), rs, rs, 0});
+      return;
+    }
     if (mnem == "nop") { emit({Op::kAddi, 0, 0, 0, 0}); return; }
     if (mnem == "mv") { need(2); emit({Op::kAddi, X(0), X(1), 0, 0}); return; }
     if (mnem == "not") { need(2); emit({Op::kXori, X(0), X(1), 0, -1}); return; }
@@ -348,52 +284,54 @@ class Assembler {
     }
     if (mnem == "j") {
       need(1);
-      emit({Op::kJal, 0, 0, 0, 0}, ops[0], Slot::Patch::kJal);
+      emit({Op::kJal, 0, 0, 0, 0}, ops[0], Slot::Patch::kPcRel);
       return;
     }
     if (mnem == "jr") { need(1); emit({Op::kJalr, 0, X(0), 0, 0}); return; }
     if (mnem == "ret") { emit({Op::kJalr, 0, 1, 0, 0}); return; }
     if (mnem == "call") {
       need(1);
-      emit({Op::kJal, 1, 0, 0, 0}, ops[0], Slot::Patch::kJal);
+      emit({Op::kJal, 1, 0, 0, 0}, ops[0], Slot::Patch::kPcRel);
       return;
     }
     if (mnem == "beqz") {
       need(2);
-      emit({Op::kBeq, 0, X(0), 0, 0}, ops[1], Slot::Patch::kBranch);
+      emit({Op::kBeq, 0, X(0), 0, 0}, ops[1], Slot::Patch::kPcRel);
       return;
     }
     if (mnem == "bnez") {
       need(2);
-      emit({Op::kBne, 0, X(0), 0, 0}, ops[1], Slot::Patch::kBranch);
+      emit({Op::kBne, 0, X(0), 0, 0}, ops[1], Slot::Patch::kPcRel);
       return;
     }
     if (mnem == "bgt") {
       need(3);
-      emit({Op::kBlt, 0, X(1), X(0), 0}, ops[2], Slot::Patch::kBranch);
+      emit({Op::kBlt, 0, X(1), X(0), 0}, ops[2], Slot::Patch::kPcRel);
       return;
     }
     if (mnem == "ble") {
       need(3);
-      emit({Op::kBge, 0, X(1), X(0), 0}, ops[2], Slot::Patch::kBranch);
+      emit({Op::kBge, 0, X(1), X(0), 0}, ops[2], Slot::Patch::kPcRel);
       return;
     }
     if (mnem == "bgtu") {
       need(3);
-      emit({Op::kBltu, 0, X(1), X(0), 0}, ops[2], Slot::Patch::kBranch);
+      emit({Op::kBltu, 0, X(1), X(0), 0}, ops[2], Slot::Patch::kPcRel);
       return;
     }
     if (mnem == "bleu") {
       need(3);
-      emit({Op::kBgeu, 0, X(1), X(0), 0}, ops[2], Slot::Patch::kBranch);
+      emit({Op::kBgeu, 0, X(1), X(0), 0}, ops[2], Slot::Patch::kPcRel);
       return;
     }
-    fail(line_no, stmt, "unknown mnemonic '" + mnem + "'");
+    error("unknown mnemonic '" + mnem + "'");
   }
 
   std::uint64_t base_;
   std::vector<Slot> slots_;
   std::map<std::string, std::uint64_t> symbols_;
+  int line_no_ = 0;   // the statement being parsed
+  std::string stmt_;
 };
 
 }  // namespace

@@ -11,9 +11,8 @@
 //
 // This is the single public entry point of the flow: CryoSocFlow and
 // sweep::run_sweep are the implementation underneath serve::execute()
-// (see serve/service.hpp), and sweep::SweepRequest / CornerResult /
-// SweepReport are thin aliases over the SweepQuery / SweepCornerResult /
-// SweepOutcome types defined here.
+// (see serve/service.hpp), and sweep::run_sweep takes and returns the
+// SweepQuery / SweepOutcome types defined here.
 //
 // Wire format: a stable JSON schema, `cryosoc-req-v1` / `cryosoc-resp-v1`.
 //  - to_json() renders with obs::Json; identity-bearing doubles (corner
@@ -68,7 +67,7 @@ std::optional<QueryKind> kind_from_name(const std::string& name);
 
 // ---- Sweep query + outcome (shared with cryo::sweep) ---------------------
 
-// A multi-corner analysis request; sweep::SweepRequest aliases this.
+// A multi-corner analysis request, the input of sweep::run_sweep.
 struct SweepQuery {
   std::vector<core::Corner> corners;
 
@@ -94,7 +93,7 @@ struct SweepQuery {
   int threads = 0;
 };
 
-// One corner's sweep outcome; sweep::CornerResult aliases this.
+// One corner's sweep outcome.
 struct SweepCornerResult {
   core::Corner corner;
   bool ok = false;
@@ -133,7 +132,7 @@ const char* cooling_verdict_name(CoolingVerdict verdict);
 std::optional<CoolingVerdict> cooling_verdict_from_name(
     const std::string& name);
 
-// A whole sweep's outcome; sweep::SweepReport aliases this.
+// A whole sweep's outcome, the result of sweep::run_sweep.
 struct SweepOutcome {
   std::vector<SweepCornerResult> corners;  // same order as the request
   std::size_t failed = 0;

@@ -20,8 +20,8 @@ double now_seconds() {
 
 // Runs one corner's analyses; everything thrown is caught by the caller
 // and recorded on the result.
-void analyze_corner(core::CryoSocFlow& flow, const SweepRequest& req,
-                    CornerResult& r) {
+void analyze_corner(core::CryoSocFlow& flow, const serve::SweepQuery& req,
+                    serve::SweepCornerResult& r) {
   auto lib = flow.library(r.corner);
   if (!lib->quarantined_arcs.empty()) {
     r.error_stage = "quarantine";
@@ -65,11 +65,12 @@ void analyze_corner(core::CryoSocFlow& flow, const SweepRequest& req,
   r.ok = true;
 }
 
-void derive_cross_corner(SweepReport& report, double cooling_budget_w) {
+void derive_cross_corner(serve::SweepOutcome& report,
+                         double cooling_budget_w) {
   // Worst corner = slowest successful timing run.
   double worst_fmax = 0.0;
   for (std::size_t i = 0; i < report.corners.size(); ++i) {
-    const CornerResult& r = report.corners[i];
+    const serve::SweepCornerResult& r = report.corners[i];
     if (!r.ok || !r.timing) continue;
     if (!report.worst_corner || r.timing->fmax < worst_fmax) {
       report.worst_corner = i;
@@ -83,7 +84,7 @@ void derive_cross_corner(SweepReport& report, double cooling_budget_w) {
   // serve client) differs from its in-memory twin by wire-format noise
   // and must not fork its own grid point.
   std::vector<std::pair<double, double>> curve;
-  for (const CornerResult& r : report.corners) {
+  for (const serve::SweepCornerResult& r : report.corners) {
     if (!r.ok || !r.timing) continue;
     auto it = std::find_if(curve.begin(), curve.end(), [&](const auto& p) {
       return core::temperature_close(p.first, r.corner.temperature);
@@ -100,7 +101,7 @@ void derive_cross_corner(SweepReport& report, double cooling_budget_w) {
   // the budget between the warmest fitting corner and the first corner
   // above it that exceeds the budget.
   std::vector<std::pair<double, double>> pw;  // (T, total W), worst per T
-  for (const CornerResult& r : report.corners) {
+  for (const serve::SweepCornerResult& r : report.corners) {
     if (!r.ok || !r.power) continue;
     auto it = std::find_if(pw.begin(), pw.end(), [&](const auto& p) {
       return core::temperature_close(p.first, r.corner.temperature);
@@ -142,7 +143,8 @@ void derive_cross_corner(SweepReport& report, double cooling_budget_w) {
 
 }  // namespace
 
-SweepReport run_sweep(core::CryoSocFlow& flow, const SweepRequest& request) {
+serve::SweepOutcome run_sweep(core::CryoSocFlow& flow,
+                              const serve::SweepQuery& request) {
   if (request.corners.empty())
     throw std::invalid_argument("run_sweep: empty corner grid");
   OBS_SPAN("sweep.run");
@@ -163,11 +165,11 @@ SweepReport run_sweep(core::CryoSocFlow& flow, const SweepRequest& request) {
     flow.nmos();
   }
 
-  SweepReport report;
-  report.corners = exec::parallel_map<CornerResult>(
+  serve::SweepOutcome report;
+  report.corners = exec::parallel_map<serve::SweepCornerResult>(
       request.corners.size(),
       [&](std::size_t i) {
-        CornerResult r;
+        serve::SweepCornerResult r;
         r.corner = request.corners[i];
         OBS_SPAN("sweep.corner", r.corner.label());
         const double t0 = now_seconds();
@@ -190,20 +192,20 @@ SweepReport run_sweep(core::CryoSocFlow& flow, const SweepRequest& request) {
       },
       request.threads);
 
-  for (const CornerResult& r : report.corners)
+  for (const serve::SweepCornerResult& r : report.corners)
     if (!r.ok) ++report.failed;
   derive_cross_corner(report, request.cooling_budget_w);
   return report;
 }
 
-obs::Json to_json(const SweepReport& report) {
+obs::Json to_json(const serve::SweepOutcome& report) {
   obs::Json j = obs::Json::object();
   j["schema"] = "cryosoc-sweep-v1";
   j["corner_count"] = report.corners.size();
   j["failed"] = report.failed;
 
   obs::Json corners = obs::Json::array();
-  for (const CornerResult& r : report.corners) {
+  for (const serve::SweepCornerResult& r : report.corners) {
     obs::Json c = obs::Json::object();
     c["name"] = r.corner.label();
     c["key"] = r.corner.key();

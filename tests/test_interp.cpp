@@ -308,7 +308,7 @@ TEST(FlowInterp, DenseSweepCharacterizesOnlyAnchors) {
   const auto runs0 = runs.value();
 
   // 20-point grid across the anchor span, leakage-only.
-  sweep::SweepRequest request;
+  serve::SweepQuery request;
   for (int i = 0; i < 20; ++i)
     request.corners.push_back(
         flow.corner(150.0 + 150.0 * double(i) / 19.0));

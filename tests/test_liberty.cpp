@@ -195,6 +195,29 @@ TEST(Liberty, CommittedLibrariesRewriteByteForByte) {
   }
 }
 
+// An arc whose transition or power table is empty writes without it, the
+// shape the reader reads as "absent", so the library reads back bit for
+// bit.
+TEST(Liberty, EmptyTablesRoundTrip) {
+  const auto lib = read_file(core::default_lib_dir() + "/cryo5_300k.lib");
+  using Member = Table2D charlib::NldmArc::*;
+  const std::vector<std::vector<Member>> clears = {
+      {&charlib::NldmArc::output_slew},
+      {&charlib::NldmArc::energy},
+      {&charlib::NldmArc::output_slew, &charlib::NldmArc::energy}};
+  for (const auto& members : clears) {
+    charlib::Library edited = lib;
+    for (auto& cell : edited.cells)
+      if (cell.def.name == "INV_X1")
+        for (const Member m : members) cell.arcs.front().*m = Table2D{};
+    const std::string text = write(edited);
+    const auto back = parse(text);
+    EXPECT_EQ(LibraryBits(back).hash(), LibraryBits(edited).hash())
+        << members.size();
+    EXPECT_TRUE(write(back) == text) << members.size();
+  }
+}
+
 // A library small enough to break by hand, one statement per line.
 const std::string kTiny =
     "library (tiny) {\n"                                         // 1

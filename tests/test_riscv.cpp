@@ -28,25 +28,19 @@ TEST(Encode, RangeChecks) {
   EXPECT_THROW(encode({Op::kAddi, 1, 0, 0, 5000}), std::invalid_argument);
   EXPECT_THROW(encode({Op::kSlli, 1, 1, 0, 70}), std::invalid_argument);
   EXPECT_THROW(encode({Op::kBeq, 0, 1, 2, 3}), std::invalid_argument);
+  // Register fields outside 0-31 would spill into the neighbouring field:
+  // {kAdd, 32, 1, 2} would otherwise encode `sll x0, x1, x2`.
+  EXPECT_THROW(encode({Op::kAdd, 32, 1, 2, 0}), std::invalid_argument);
+  EXPECT_THROW(encode({Op::kAdd, 1, -1, 2, 0}), std::invalid_argument);
+  EXPECT_THROW(encode({Op::kAdd, 1, 2, 32, 0}), std::invalid_argument);
+  EXPECT_THROW(encode({Op::kLd, 1, 40, 0, 8}), std::invalid_argument);
+  EXPECT_THROW(encode({Op::kInvalid, 0, 0, 0, 0}), std::invalid_argument);
 }
 
 TEST(Decode, RoundTripAllOps) {
   Rng rng(17);
-  const Op all_ops[] = {
-      Op::kLui,  Op::kAuipc, Op::kJal,  Op::kJalr, Op::kBeq,  Op::kBne,
-      Op::kBlt,  Op::kBge,   Op::kBltu, Op::kBgeu, Op::kLb,   Op::kLh,
-      Op::kLw,   Op::kLd,    Op::kLbu,  Op::kLhu,  Op::kLwu,  Op::kSb,
-      Op::kSh,   Op::kSw,    Op::kSd,   Op::kAddi, Op::kSlti, Op::kSltiu,
-      Op::kXori, Op::kOri,   Op::kAndi, Op::kSlli, Op::kSrli, Op::kSrai,
-      Op::kAddiw, Op::kSlliw, Op::kSrliw, Op::kSraiw, Op::kAdd, Op::kSub,
-      Op::kSll,  Op::kSlt,   Op::kSltu, Op::kXor,  Op::kSrl,  Op::kSra,
-      Op::kOr,   Op::kAnd,   Op::kAddw, Op::kSubw, Op::kSllw, Op::kSrlw,
-      Op::kSraw, Op::kMul,   Op::kMulh, Op::kMulhu, Op::kDiv, Op::kDivu,
-      Op::kRem,  Op::kRemu,  Op::kMulw, Op::kDivw, Op::kRemw, Op::kFld,
-      Op::kFsd,  Op::kFaddD, Op::kFsubD, Op::kFmulD, Op::kFdivD,
-      Op::kFsqrtD, Op::kFeqD, Op::kFltD, Op::kFleD, Op::kFcvtLD,
-      Op::kFcvtDL, Op::kFmvXD, Op::kFmvDX, Op::kFsgnjD, Op::kCpop};
-  for (const Op op : all_ops) {
+  for (const OpInfo& row : op_table()) {
+    const Op op = row.op;
     for (int trial = 0; trial < 8; ++trial) {
       Instruction in;
       in.op = op;
@@ -136,7 +130,34 @@ TEST(Assembler, SyntaxErrors) {
   EXPECT_THROW(assemble("addi a0, xx, 1"), std::runtime_error);
   EXPECT_THROW(assemble("addi a0, a1"), std::runtime_error);
   EXPECT_THROW(assemble("j nowhere"), std::runtime_error);
-  EXPECT_ANY_THROW(assemble("addi a0, a1, 99999"));
+  EXPECT_THROW(assemble("addi a0, a1, 99999"), std::runtime_error);
+  // A register name is one whole token.
+  for (const char* bad :
+       {"add x1y, x2, x3", "addi x5abc, a1, 1", "addi x+5, a1, 1",
+        "addi x 5, a1, 1", "addi x05, a1, 1", "addi x32, a1, 1",
+        "addi x-1, a1, 1", "addi a0 , a1x, 1", "ld a0, 8(a1)x",
+        "fadd.d f1.5, fa0, fa1", "fadd.d fa0, f+1, fa1",
+        "fadd.d fa0, fa1, f32", "fadd.d fa0, fa1, f01"})
+    EXPECT_THROW(assemble(bad), std::runtime_error) << bad;
+  EXPECT_NO_THROW(assemble("add x31, x0, x9\nfadd.d f31, f0, f9"));
+}
+
+TEST(Assembler, ErrorsNameTheirLine) {
+  // Range errors surface in the encoder and undefined labels in pass 2;
+  // both still name the statement they came from.
+  const auto message = [](const std::string& source) {
+    try {
+      assemble(source);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message("nop\naddi a0, a1, 99999"),
+            "assembler line 2: encode: I immediate out of range in "
+            "'addi a0, a1, 99999'");
+  EXPECT_EQ(message("nop\nnop\nbeqz a0, far"),
+            "assembler line 3: undefined symbol 'far' in 'beqz a0, far'");
 }
 
 TEST(Assembler, DataDirectives) {

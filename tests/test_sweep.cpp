@@ -137,7 +137,7 @@ TEST(Sweep, TwoCornerSweepMatchesSequentialAtAnyThreadCount) {
 
   for (int threads : {1, 4}) {
     CryoSocFlow flow(full_catalog_config());
-    SweepRequest request;
+    serve::SweepQuery request;
     request.corners = {flow.corner(300.0), flow.corner(10.0)};
     request.run_timing = true;
     request.threads = threads;
@@ -163,7 +163,7 @@ TEST(Sweep, TwoCornerSweepMatchesSequentialAtAnyThreadCount) {
 
 TEST(Sweep, JsonReportCarriesSchema) {
   CryoSocFlow flow(full_catalog_config());
-  SweepRequest request;
+  serve::SweepQuery request;
   request.corners = {flow.corner(300.0)};
   const auto report = run_sweep(flow, request);
   const std::string json = to_json(report).dump(2);
@@ -174,7 +174,8 @@ TEST(Sweep, JsonReportCarriesSchema) {
 
 TEST(Sweep, EmptyGridThrows) {
   CryoSocFlow flow(full_catalog_config());
-  EXPECT_THROW(run_sweep(flow, SweepRequest{}), std::invalid_argument);
+  EXPECT_THROW(run_sweep(flow, serve::SweepQuery{}),
+               std::invalid_argument);
 }
 
 TEST(Sweep, RoundTrippedCornerSharesItsTwinsCurvePoint) {
@@ -196,7 +197,7 @@ TEST(Sweep, RoundTrippedCornerSharesItsTwinsCurvePoint) {
   auto& runs = obs::registry().counter("charlib.runs");
   const auto runs0 = runs.value();
 
-  SweepRequest request;
+  serve::SweepQuery request;
   request.corners = {flow.corner(exact), flow.corner(round_tripped)};
   request.run_timing = true;
   const auto report = run_sweep(flow, request);
@@ -214,7 +215,7 @@ TEST(Sweep, CoolingVerdictNamesTheFeasibilityOutcome) {
   // The crossover optional alone could not distinguish "fits everywhere"
   // from "infeasible even at the coldest corner" — both were silence.
   CryoSocFlow flow(full_catalog_config());
-  SweepRequest request;
+  serve::SweepQuery request;
   request.corners = {flow.corner(10.0), flow.corner(300.0)};
   request.run_timing = true;
   request.run_power = true;
@@ -257,7 +258,7 @@ TEST(Sweep, CoolingVerdictNamesTheFeasibilityOutcome) {
             std::string::npos);
 
   // A sweep without power results reports not_evaluated.
-  SweepRequest timing_only;
+  serve::SweepQuery timing_only;
   timing_only.corners = {flow.corner(300.0)};
   const auto no_power = run_sweep(flow, timing_only);
   EXPECT_EQ(no_power.cooling_verdict,
@@ -344,7 +345,7 @@ TEST(Sweep, QuarantinedCornerSurfacesAsPerCornerError) {
       {cells::make_cell("INV", 1, cells::VtFlavor::kLvt), broken}};
   CryoSocFlow flow(config);
 
-  SweepRequest request;
+  serve::SweepQuery request;
   request.corners = {flow.corner(300.0), flow.corner(10.0)};
   request.run_timing = false;
   request.run_leakage = true;
@@ -380,7 +381,7 @@ TEST(Sweep, CorruptArtifactFailsItsCornerNotSiblings) {
   std::ofstream(dir / "cryo5_10k.lib") << "not a liberty file\n";
 
   CryoSocFlow flow(config);
-  SweepRequest request;
+  serve::SweepQuery request;
   request.corners = {flow.corner(300.0), flow.corner(10.0)};
   request.run_timing = false;
   request.run_leakage = true;
