@@ -76,7 +76,8 @@ FlowConfig validate_config(FlowConfig config) {
 
 CryoSocFlow::CryoSocFlow(FlowConfig config)
     : config_(validate_config(std::move(config))),
-      corners_(config_.corner_cache_capacity, "sweep.corner_cache") {
+      corners_(config_.corner_cache_capacity, "sweep.corner_cache"),
+      srams_(config_.corner_cache_capacity, "flow.sram_cache") {
   if (config_.lib_dir.empty()) config_.lib_dir = default_lib_dir();
 }
 
@@ -221,11 +222,10 @@ CryoSocFlow::Corners::Built CryoSocFlow::build_corner_state(
       *nmos_, *pmos_, config_.catalog, corner, kCharacterizerVersion,
       config_.cells_override ? &*config_.cells_override : nullptr);
   const ArtifactStatus status = check_artifact(path.string(), key);
-  // Copies `corner`: the background job below outlives this call.
-  const auto state = [this, corner](charlib::Library lib) {
-    return std::make_shared<CornerState>(
-        corner, std::move(lib),
-        sram::SramModel(*nmos_, *pmos_, corner.temperature, corner.vdd));
+  // Copies `corner` and the model: the background job below outlives this
+  // call, and a cold corner's partial and full states share the model.
+  const auto state = [corner, sram = sram_for(corner)](charlib::Library lib) {
+    return std::make_shared<CornerState>(corner, std::move(lib), *sram);
   };
   if (status.fresh) {
     hits.add(1);
@@ -344,9 +344,8 @@ std::shared_ptr<CornerState> CryoSocFlow::build_interpolated_state(
   } catch (const FlowError& e) {
     throw FlowError::at_corner(e, corner, e.stage());
   }
-  sram::SramModel sram(*nmos_, *pmos_, corner.temperature, corner.vdd);
   return std::make_shared<CornerState>(corner, std::move(lib),
-                                       std::move(sram));
+                                       *sram_for(corner));
 }
 
 std::shared_ptr<CornerState> CryoSocFlow::corner_state_mutable(
@@ -371,9 +370,18 @@ std::shared_ptr<const charlib::Library> CryoSocFlow::library(
   return {state, &state->library};
 }
 
-sram::SramModel CryoSocFlow::sram_model(const Corner& corner) {
+std::shared_ptr<const sram::SramModel> CryoSocFlow::sram_for(
+    const Corner& corner) {
   ensure_devices();
-  return sram::SramModel(*nmos_, *pmos_, corner.temperature, corner.vdd);
+  return srams_.get_or_build(corner, [&](const Srams::Ticket&) {
+    OBS_SPAN("flow.sram_model", corner.label());
+    return Srams::Built{std::make_shared<sram::SramModel>(
+        *nmos_, *pmos_, corner.temperature, corner.vdd)};
+  });
+}
+
+sram::SramModel CryoSocFlow::sram_model(const Corner& corner) {
+  return *sram_for(corner);
 }
 
 const sta::StaEngine& CryoSocFlow::engine_for(CornerState& state) {
@@ -406,13 +414,25 @@ sta::TimingReport CryoSocFlow::timing(const Corner& corner) {
   return *state->timing;
 }
 
+const power::PowerAnalyzer& CryoSocFlow::analyzer_for(CornerState& state) {
+  const sta::StaEngine& engine = engine_for(state);
+  const netlist::Netlist& netlist = soc();
+  static obs::Counter& builds = obs::registry().counter("flow.power_builds");
+  std::call_once(state.analyzer_once, [&] {
+    OBS_SPAN("flow.power_build", state.corner.label());
+    state.analyzer = std::make_unique<power::PowerAnalyzer>(
+        netlist, state.library, state.sram, engine);
+    builds.add(1);
+  });
+  return *state.analyzer;
+}
+
 power::PowerReport CryoSocFlow::workload_power(
     const Corner& corner, const power::ActivityProfile& profile) {
   start_soc();
   auto state = corner_state_mutable(corner, /*accept_partial=*/true);
-  const sta::StaEngine& engine = engine_for(*state);
+  const power::PowerAnalyzer& analyzer = analyzer_for(*state);
   OBS_SPAN("flow.power", corner.label());
-  power::PowerAnalyzer analyzer(soc(), state->library, state->sram, engine);
   return analyzer.analyze(profile);
 }
 
@@ -420,9 +440,8 @@ power::PowerReport CryoSocFlow::measured_power(
     const Corner& corner, const gatesim::MeasuredActivity& activity) {
   start_soc();
   auto state = corner_state_mutable(corner, /*accept_partial=*/true);
-  const sta::StaEngine& engine = engine_for(*state);
+  const power::PowerAnalyzer& analyzer = analyzer_for(*state);
   OBS_SPAN("flow.power_measured", corner.label());
-  power::PowerAnalyzer analyzer(soc(), state->library, state->sram, engine);
   return analyzer.analyze(activity);
 }
 

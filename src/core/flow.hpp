@@ -7,13 +7,15 @@
 //
 // The flow is corner-keyed: every analysis takes a core::Corner
 // (vdd, temperature) and per-corner state — the characterized library,
-// the SRAM macro model, and the STA engine — lives in a bounded,
-// thread-safe LRU cache, so a multi-corner sweep (cryo::sweep) can fan
-// corners out over the exec scheduler while each corner characterizes at
-// most once. Characterized libraries are cached as Liberty files
-// (lib/*.lib) through the fingerprinted artifact store, so the expensive
-// SPICE characterization runs once ever per corner; benches and examples
-// load the artifacts afterwards.
+// the SRAM macro model, the STA engine and the power analyzer — lives in
+// a bounded, thread-safe LRU cache, so a multi-corner sweep (cryo::sweep)
+// can fan corners out over the exec scheduler while each corner
+// characterizes at most once. SRAM models have their own LRU cache, so an
+// sram query never waits for or starts a characterization. Characterized
+// libraries are cached as Liberty files (lib/*.lib) through the
+// fingerprinted artifact store, so the expensive SPICE characterization
+// runs once ever per corner; benches and examples load the artifacts
+// afterwards.
 //
 // The typed request/response front door over this class is cryo::serve
 // (serve/request.hpp, serve/service.hpp).
@@ -73,10 +75,10 @@ struct FlowConfig {
   // interpolation is a read-side layer only.
   std::vector<double> interp_anchor_temps;
   // Bound on the per-corner state cache (library + SRAM model + STA
-  // engine per resident corner). Sweeps over grids larger than this
-  // evict least-recently-used corners; evicted corners reload from the
-  // artifact store on the next touch. Must be >= 1 (validated at
-  // construction).
+  // engine + power analyzer per resident corner), and on the SRAM model
+  // cache. Sweeps over grids larger than this evict least-recently-used
+  // corners; evicted corners reload from the artifact store on the next
+  // touch. Must be >= 1 (validated at construction).
   std::size_t corner_cache_capacity = 8;
   // Worker threads for characterizing an uncached corner: > 0 explicit,
   // 0 = defer to CRYOSOC_THREADS / hardware concurrency (see
@@ -91,12 +93,16 @@ struct FlowConfig {
 std::string default_lib_dir();
 
 // One corner's resident state: everything derived from (vdd, temperature)
-// that is worth keeping across analyses. The STA engine is built lazily on
+// that is worth keeping across analyses. The SRAM model comes from the
+// flow's SRAM cache (see sram_model()). The STA engine is built lazily on
 // the first timing/power call for the corner and reused afterwards (its
 // sink lists, net loads and per-gate cells depend only on the netlist +
 // library). Its report is memoized beside it: StaEngine::run() depends
 // only on the corner, so timing(), power at fmax and every sweep corner
-// share one STA run per resident corner.
+// share one STA run per resident corner. The power analyzer is built
+// lazily beside them on the first power call (obs flow.power_builds): it
+// holds the corner's per-gate switching energies, leakage sums and macro
+// powers, so each power query is one pass over flat arrays.
 //
 // A cold corner is first resident as a partial state: its library holds
 // only the synthesized netlist's cells, each bit-identical to its slice of
@@ -113,12 +119,14 @@ struct CornerState {
   charlib::Library library;
   sram::SramModel sram;
 
-  // Lazily-built engine and report; managed by CryoSocFlow (see
-  // engine_for and timing).
+  // Lazily-built engine, report and analyzer; managed by CryoSocFlow
+  // (see engine_for, timing and analyzer_for).
   mutable std::once_flag engine_once;
   mutable std::unique_ptr<sta::StaEngine> engine;
   mutable std::once_flag timing_once;
   mutable std::optional<sta::TimingReport> timing;
+  mutable std::once_flag analyzer_once;
+  mutable std::unique_ptr<power::PowerAnalyzer> analyzer;
 };
 
 class CryoSocFlow {
@@ -172,11 +180,15 @@ class CryoSocFlow {
   // waits like library().
   std::shared_ptr<const CornerState> corner_state(const Corner& corner);
 
+  // The corner's SRAM macro model, built once per residency in the SRAM
+  // cache (obs flow.sram_cache.{hit,miss,evict,size}). It needs only the
+  // devices, so it never waits for or starts a characterization.
   sram::SramModel sram_model(const Corner& corner);
   // The three analyses below may answer from a cold corner's partial
   // state. Each starts soc() before resolving its corner, unless another
   // thread is already synthesizing. STA runs once per resident corner
-  // state; later calls copy its report.
+  // state; later calls copy its report. The power analyzer is built once
+  // per resident corner state; later calls only weigh its energies.
   sta::TimingReport timing(const Corner& corner);
   power::PowerReport workload_power(const Corner& corner,
                                     const power::ActivityProfile& profile);
@@ -199,6 +211,7 @@ class CryoSocFlow {
 
  private:
   using Corners = CornerCache<CornerState>;
+  using Srams = CornerCache<sram::SramModel>;
 
   void ensure_devices();
   // Artifact file stem for a corner ("300k", "v0p65_t300", or the
@@ -228,6 +241,10 @@ class CryoSocFlow {
                                                     bool accept_partial);
   // The corner's cached STA engine, built on first use.
   const sta::StaEngine& engine_for(CornerState& state);
+  // The corner's cached power analyzer, built on first use.
+  const power::PowerAnalyzer& analyzer_for(CornerState& state);
+  // The corner's SRAM model from the SRAM cache.
+  std::shared_ptr<const sram::SramModel> sram_for(const Corner& corner);
 
   FlowConfig config_;
   std::once_flag devices_once_;
@@ -243,6 +260,7 @@ class CryoSocFlow {
   std::optional<netlist::Netlist> soc_;
   std::vector<std::string> soc_cells_;  // distinct cell names of *soc_
   Corners corners_;
+  Srams srams_;
   // Background characterizations; the destructor waits for them.
   std::mutex jobs_mutex_;
   std::vector<std::future<void>> jobs_;

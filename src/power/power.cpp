@@ -8,6 +8,8 @@
 namespace cryo::power {
 namespace {
 
+constexpr double kNominalSlew = 10e-12;
+
 double activity_of(const ActivityProfile& profile, const std::string& name) {
   std::size_t best_len = 0;
   double best = profile.default_activity;
@@ -33,17 +35,61 @@ PowerAnalyzer::PowerAnalyzer(const netlist::Netlist& netlist,
                              const charlib::Library& library,
                              const sram::SramModel& sram_model,
                              sta::StaOptions sta_options)
-    : nl_(netlist),
-      lib_(library),
-      sram_(sram_model),
-      owned_sta_(std::in_place, netlist, library, sram_model, sta_options),
-      sta_(*owned_sta_) {}
+    : PowerAnalyzer(netlist, library, sram_model,
+                    sta::StaEngine(netlist, library, sram_model,
+                                   sta_options)) {}
 
 PowerAnalyzer::PowerAnalyzer(const netlist::Netlist& netlist,
                              const charlib::Library& library,
                              const sram::SramModel& sram_model,
                              const sta::StaEngine& engine)
-    : nl_(netlist), lib_(library), sram_(sram_model), sta_(engine) {}
+    : nl_(netlist), vdd_(library.vdd) {
+  OBS_SPAN("power.prepare");
+  const auto& gates = nl_.gates();
+  gate_energy_.reserve(gates.size());
+  outputs_.reserve(gates.size());
+  double clock_cap = 0.0;
+  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+    const auto& gate = gates[gi];
+    const charlib::CellChar& cell = engine.gate_cell(gi);
+    leakage_logic_ += cell.leakage_avg;
+
+    // Mean switching energy per output toggle at the actual load: over
+    // all connected outputs' arcs for the gate, and per output.
+    double gate_energy = 0.0;
+    int gate_arcs = 0;
+    for (const auto& out : cell.def.outputs) {
+      const netlist::NetId y = gate.pin(out.name);
+      if (y == netlist::kNoNet) continue;
+      const double load = engine.net_load(y);
+      double energy = 0.0;
+      int arcs = 0;
+      for (const auto& arc : cell.arcs) {
+        if (arc.output != out.name) continue;
+        const double e = std::max(arc.energy.lookup(kNominalSlew, load), 0.0);
+        gate_energy += e;
+        ++gate_arcs;
+        energy += e;
+        ++arcs;
+      }
+      if (arcs > 0) energy /= arcs;
+      outputs_.push_back({y, energy});
+    }
+    if (gate_arcs > 0) gate_energy /= gate_arcs;
+    gate_energy_.push_back(gate_energy);
+
+    // Clock pin capacitance accumulates into the clock-tree switching.
+    if (cell.def.sequential) clock_cap += cell.pin_cap(cell.def.clock);
+  }
+  if (nl_.clock() != netlist::kNoNet)
+    clock_load_ = clock_cap + engine.net_load(nl_.clock());
+
+  macros_.reserve(nl_.srams().size());
+  for (const auto& m : nl_.srams()) {
+    macros_.push_back(sram_model.power({m.rows, m.cols}));
+    leakage_sram_ += macros_.back().leakage;
+  }
+}
 
 PowerReport PowerAnalyzer::analyze(const ActivityProfile& profile) const {
   OBS_SPAN("power.analyze");
@@ -51,49 +97,24 @@ PowerReport PowerAnalyzer::analyze(const ActivityProfile& profile) const {
   analyses.add(1);
   PowerReport report;
   const double f = profile.clock_frequency;
-  const double vdd = lib_.vdd;
-  constexpr double kNominalSlew = 10e-12;
+  report.leakage_logic = leakage_logic_;
+  report.leakage_sram = leakage_sram_;
 
-  double clock_cap = 0.0;
-  for (std::size_t gi = 0; gi < nl_.gates().size(); ++gi) {
-    const auto& gate = nl_.gates()[gi];
-    const charlib::CellChar& cell = sta_.gate_cell(gi);
-    report.leakage_logic += cell.leakage_avg;
-
-    // Mean switching energy per output toggle at the actual load.
-    double toggle_energy = 0.0;
-    int arc_count = 0;
-    for (const auto& out : cell.def.outputs) {
-      const netlist::NetId y = gate.pin(out.name);
-      if (y == netlist::kNoNet) continue;
-      const double load = sta_.net_load(y);
-      for (const auto& arc : cell.arcs) {
-        if (arc.output != out.name) continue;
-        toggle_energy += std::max(arc.energy.lookup(kNominalSlew, load), 0.0);
-        ++arc_count;
-      }
-    }
-    if (arc_count > 0) toggle_energy /= arc_count;
-    const double toggles_per_sec = activity_of(profile, gate.name) * f;
-    report.dynamic_logic += toggle_energy * toggles_per_sec;
-
-    // Clock pin capacitance accumulates into the clock-tree switching.
-    if (cell.def.sequential)
-      clock_cap += cell.pin_cap(cell.def.clock);
+  const auto& gates = nl_.gates();
+  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+    const double toggles_per_sec = activity_of(profile, gates[gi].name) * f;
+    report.dynamic_logic += gate_energy_[gi] * toggles_per_sec;
   }
   // Clock tree: full swing on both edges each cycle => C * Vdd^2 * f.
-  if (nl_.clock() != netlist::kNoNet) {
-    const double wire = sta_.net_load(nl_.clock());
-    report.dynamic_logic += (clock_cap + wire) * vdd * vdd * f;
-  }
+  if (clock_load_) report.dynamic_logic += *clock_load_ * vdd_ * vdd_ * f;
 
-  for (const auto& m : nl_.srams()) {
-    const auto p = sram_.power({m.rows, m.cols});
-    report.leakage_sram += p.leakage;
-    const double reads = rate_of(profile.sram_reads_per_cycle, m.name);
-    const double writes = rate_of(profile.sram_writes_per_cycle, m.name);
+  for (std::size_t i = 0; i < macros_.size(); ++i) {
+    const std::string& name = nl_.srams()[i].name;
+    const double reads = rate_of(profile.sram_reads_per_cycle, name);
+    const double writes = rate_of(profile.sram_writes_per_cycle, name);
     report.dynamic_sram +=
-        (reads * p.read_energy + writes * p.write_energy) * f;
+        (reads * macros_[i].read_energy + writes * macros_[i].write_energy) *
+        f;
   }
   return report;
 }
@@ -106,53 +127,31 @@ PowerReport PowerAnalyzer::analyze(
   analyses.add(1);
   PowerReport report;
   const double f = activity.clock_frequency;
-  const double vdd = lib_.vdd;
-  constexpr double kNominalSlew = 10e-12;
+  report.leakage_logic = leakage_logic_;
+  report.leakage_sram = leakage_sram_;
 
-  double clock_cap = 0.0;
-  for (std::size_t gi = 0; gi < nl_.gates().size(); ++gi) {
-    const auto& gate = nl_.gates()[gi];
-    const charlib::CellChar& cell = sta_.gate_cell(gi);
-    report.leakage_logic += cell.leakage_avg;
-
-    for (const auto& out : cell.def.outputs) {
-      const netlist::NetId y = gate.pin(out.name);
-      if (y == netlist::kNoNet) continue;
-      const double load = sta_.net_load(y);
-      double toggle_energy = 0.0;
-      int arc_count = 0;
-      for (const auto& arc : cell.arcs) {
-        if (arc.output != out.name) continue;
-        toggle_energy += std::max(arc.energy.lookup(kNominalSlew, load), 0.0);
-        ++arc_count;
-      }
-      if (arc_count > 0) toggle_energy /= arc_count;
-      report.dynamic_logic +=
-          toggle_energy * activity.toggles_per_cycle(y) * f;
-      // An inertially cancelled pulse still charges the gate's internal
-      // nodes and part of the load before collapsing: book it as a
-      // half-swing transition.
-      report.dynamic_glitch +=
-          0.5 * toggle_energy * activity.glitches_per_cycle(y) * f;
-    }
-    if (cell.def.sequential) clock_cap += cell.pin_cap(cell.def.clock);
+  for (const OutputEnergy& out : outputs_) {
+    report.dynamic_logic +=
+        out.energy * activity.toggles_per_cycle(out.net) * f;
+    // An inertially cancelled pulse still charges the gate's internal
+    // nodes and part of the load before collapsing: book it as a
+    // half-swing transition.
+    report.dynamic_glitch +=
+        0.5 * out.energy * activity.glitches_per_cycle(out.net) * f;
   }
-  if (nl_.clock() != netlist::kNoNet) {
-    const double wire = sta_.net_load(nl_.clock());
-    report.dynamic_logic += (clock_cap + wire) * vdd * vdd * f;
-  }
+  if (clock_load_) report.dynamic_logic += *clock_load_ * vdd_ * vdd_ * f;
 
-  for (const auto& m : nl_.srams()) {
-    const auto p = sram_.power({m.rows, m.cols});
-    report.leakage_sram += p.leakage;
-    const auto rit = activity.sram_reads_per_cycle.find(m.name);
-    const auto wit = activity.sram_writes_per_cycle.find(m.name);
+  for (std::size_t i = 0; i < macros_.size(); ++i) {
+    const std::string& name = nl_.srams()[i].name;
+    const auto rit = activity.sram_reads_per_cycle.find(name);
+    const auto wit = activity.sram_writes_per_cycle.find(name);
     const double reads =
         rit == activity.sram_reads_per_cycle.end() ? 0.0 : rit->second;
     const double writes =
         wit == activity.sram_writes_per_cycle.end() ? 0.0 : wit->second;
     report.dynamic_sram +=
-        (reads * p.read_energy + writes * p.write_energy) * f;
+        (reads * macros_[i].read_energy + writes * macros_[i].write_energy) *
+        f;
   }
   return report;
 }

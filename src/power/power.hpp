@@ -13,11 +13,19 @@
 // toggle probabilities. This mirrors the paper's methodology of extracting
 // switching activity from workload simulation instead of blanket
 // statistical activity (Sec. VI-B).
+//
+// Everything that does not depend on the activity is computed once, by the
+// constructor: each gate's and each connected output's switching energy at
+// its load, the logic-leakage and clock-pin-capacitance sums, and each SRAM
+// macro's MacroPower. analyze() is then one pass over flat arrays. It does
+// the same multiply-adds in the same order as computing everything per
+// call, so its reports are bit-identical to that.
 #pragma once
 
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "charlib/library.hpp"
 #include "gatesim/activity.hpp"
@@ -55,15 +63,16 @@ struct PowerReport {
 
 class PowerAnalyzer {
  public:
+  // Builds an STA engine for net loads and each gate's resolved cell; it
+  // is dropped once the per-gate energies are computed.
   PowerAnalyzer(const netlist::Netlist& netlist,
                 const charlib::Library& library,
                 const sram::SramModel& sram_model,
                 sta::StaOptions sta_options = {});
 
-  // Borrows an already-built STA engine for net loads and each gate's
-  // resolved cell instead of building one (the flow's per-corner engine
-  // cache uses this; the engine's sink lists depend only on the netlist +
-  // library, both shared here). The engine must outlive the analyzer.
+  // Borrows an already-built STA engine instead (the flow's per-corner
+  // engine cache uses this). Only the constructor reads the library, the
+  // SRAM model and the engine; the netlist must outlive the analyzer.
   PowerAnalyzer(const netlist::Netlist& netlist,
                 const charlib::Library& library,
                 const sram::SramModel& sram_model,
@@ -81,11 +90,25 @@ class PowerAnalyzer {
   PowerReport analyze(const gatesim::MeasuredActivity& activity) const;
 
  private:
+  // A connected output pin and its mean switching energy per toggle.
+  struct OutputEnergy {
+    netlist::NetId net;
+    double energy;  // [J]
+  };
+
   const netlist::Netlist& nl_;
-  const charlib::Library& lib_;
-  const sram::SramModel& sram_;
-  std::optional<sta::StaEngine> owned_sta_;  // built by the first ctor
-  const sta::StaEngine& sta_;  // reused for net loads and gate cells
+  double vdd_;
+  // Mean switching energy per output toggle over all of a gate's
+  // connected outputs' arcs, per gate [J] (uniform path).
+  std::vector<double> gate_energy_;
+  // The same per connected output, in gate order (measured path).
+  std::vector<OutputEnergy> outputs_;
+  double leakage_logic_ = 0.0;  // [W]
+  // Sequential clock-pin capacitance plus the clock net's wire load [F];
+  // set only when the netlist has a clock.
+  std::optional<double> clock_load_;
+  std::vector<sram::MacroPower> macros_;  // per nl_.srams() entry
+  double leakage_sram_ = 0.0;             // [W]
 };
 
 }  // namespace cryo::power

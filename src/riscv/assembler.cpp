@@ -1,5 +1,6 @@
 #include "riscv/assembler.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "common/text.hpp"
@@ -40,13 +41,15 @@ class Assembler {
     if (slash != std::string::npos) text = text.substr(0, slash);
     std::string stmt(trim(text));
     if (stmt.empty()) return;
-    // Labels (possibly several on a line).
+    const std::string whole = stmt;
+    // Labels (possibly several on a line), each defined once.
     while (true) {
       const auto colon = stmt.find(':');
       if (colon == std::string::npos) break;
       const std::string label(trim(stmt.substr(0, colon)));
       if (label.find(' ') != std::string::npos) break;  // not a label
-      symbols_[label] = base_ + slots_.size() * 4;
+      if (!symbols_.emplace(label, base_ + slots_.size() * 4).second)
+        fail(line_no, whole, "duplicate label '" + label + "'");
       stmt = std::string(trim(stmt.substr(colon + 1)));
     }
     if (stmt.empty()) return;
@@ -232,7 +235,11 @@ class Assembler {
     // Directives.
     if (mnem == ".word") {
       need(1);
-      emit_data(static_cast<std::uint32_t>(I(0)));
+      // Signed or unsigned 32-bit: anything else would not fit the word.
+      const std::int64_t v = I(0);
+      if (v < INT32_MIN || v > static_cast<std::int64_t>(UINT32_MAX))
+        error(".word value out of range [-2^31, 2^32-1]");
+      emit_data(static_cast<std::uint32_t>(v));
       return;
     }
     if (mnem == ".dword") {

@@ -1,6 +1,7 @@
 #include "serve/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <string>
 
@@ -86,7 +87,19 @@ class Parser {
     }
   }
 
+  // Entered by every array and object; the guard's destructor leaves.
+  struct Nesting {
+    explicit Nesting(Parser& p) : parser(p) {
+      if (++parser.depth_ > kMaxJsonDepth)
+        fail(parser.pos_, "nesting deeper than " +
+                              std::to_string(kMaxJsonDepth) + " levels");
+    }
+    ~Nesting() { --parser.depth_; }
+    Parser& parser;
+  };
+
   JsonValue parse_object() {
+    const Nesting nesting(*this);
     expect('{');
     JsonValue v;
     v.kind = JsonValue::Kind::kObject;
@@ -112,6 +125,7 @@ class Parser {
   }
 
   JsonValue parse_array() {
+    const Nesting nesting(*this);
     expect('[');
     JsonValue v;
     v.kind = JsonValue::Kind::kArray;
@@ -210,7 +224,17 @@ class Parser {
 
   std::string_view in_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
 };
+
+// Parses `text` whole as an integer of type T; false on any other text
+// (a fraction, an exponent, a sign T cannot hold, overflow).
+template <typename T>
+bool whole_number(const std::string& text, T& out) {
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, out);
+  return ec == std::errc() && end == last;
+}
 
 }  // namespace
 
@@ -229,11 +253,23 @@ double JsonValue::as_number(std::string_view what) const {
 }
 
 std::uint64_t JsonValue::as_uint(std::string_view what) const {
-  if (kind != Kind::kNumber || text.empty() || text[0] == '-')
+  std::uint64_t v = 0;
+  if (kind != Kind::kNumber || !whole_number(text, v))
     throw core::FlowError(
         "json-parse", "",
         std::string(what) + ": expected a non-negative integer");
-  return std::strtoull(text.c_str(), nullptr, 10);
+  return v;
+}
+
+std::int64_t JsonValue::as_int(std::string_view what, std::int64_t min,
+                               std::int64_t max) const {
+  std::int64_t v = 0;
+  if (kind != Kind::kNumber || !whole_number(text, v) || v < min || v > max)
+    throw core::FlowError("json-parse", "",
+                          std::string(what) + ": expected an integer in [" +
+                              std::to_string(min) + ", " +
+                              std::to_string(max) + "]");
+  return v;
 }
 
 bool JsonValue::as_bool(std::string_view what) const {

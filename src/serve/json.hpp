@@ -8,6 +8,8 @@
 // writer), numbers keep their raw token text (so exact uint64 counters
 // and shortest-form doubles survive the trip), and malformed input
 // throws core::FlowError{stage="json-parse"} with the byte offset.
+// Arrays and objects nest at most kMaxJsonDepth deep, so a hostile line
+// cannot exhaust the stack.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,10 @@
 #include <vector>
 
 namespace cryo::serve {
+
+// Deepest array/object nesting json_parse accepts. The request schema
+// nests 4 levels and the response schema 8.
+inline constexpr int kMaxJsonDepth = 64;
 
 class JsonValue {
  public:
@@ -39,9 +45,13 @@ class JsonValue {
   const JsonValue* find(std::string_view key) const;
 
   // Checked accessors: throw core::FlowError{stage="json-parse"} on a
-  // kind mismatch, naming `what` (the field being read).
+  // kind mismatch, naming `what` (the field being read). The integer ones
+  // take whole-number text only ("512", not "512.7" or "5e2"): as_uint
+  // any that fits 64 bits, as_int one inside [min, max].
   double as_number(std::string_view what) const;
   std::uint64_t as_uint(std::string_view what) const;
+  std::int64_t as_int(std::string_view what, std::int64_t min,
+                      std::int64_t max) const;
   bool as_bool(std::string_view what) const;
   const std::string& as_string(std::string_view what) const;
 

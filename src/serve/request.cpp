@@ -1,5 +1,6 @@
 #include "serve/request.hpp"
 
+#include <climits>
 #include <cmath>
 
 #include "core/artifacts.hpp"
@@ -22,6 +23,23 @@ double num_or(const JsonValue& obj, std::string_view key, double fallback,
   const JsonValue* v = obj.find(key);
   if (!v || v->is_null()) return fallback;
   return v->as_number(what);
+}
+
+// Admission checks on request numbers: a non-finite one would reach the
+// analyses as inf or NaN, and a negative rate as negative power.
+double finite(double v, std::string_view what) {
+  if (!std::isfinite(v))
+    throw core::FlowError("request-parse", "",
+                          std::string(what) + ": must be finite");
+  return v;
+}
+
+double rate(double v, std::string_view what) {
+  if (!(finite(v, what) >= 0.0))
+    throw core::FlowError("request-parse", "",
+                          std::string(what) + ": must be >= 0 (got " +
+                              core::corner_detail::shortest(v) + ")");
+  return v;
 }
 
 bool bool_or(const JsonValue& obj, std::string_view key, bool fallback,
@@ -64,12 +82,13 @@ obs::Json rate_map_to_json(const std::map<std::string, double>& rates) {
   return j;
 }
 
+// Request-side only: every rate must be finite and >= 0.
 std::map<std::string, double> rate_map_from_json(const JsonValue* v,
                                                  std::string_view what) {
   std::map<std::string, double> rates;
   if (!v) return rates;
   for (const auto& [key, value] : v->members)
-    rates[key] = value.as_number(what);
+    rates[key] = rate(value.as_number(what), what);
   return rates;
 }
 
@@ -87,10 +106,12 @@ obs::Json profile_to_json(const power::ActivityProfile& profile) {
 
 power::ActivityProfile profile_from_json(const JsonValue& v) {
   power::ActivityProfile profile;
-  profile.clock_frequency =
-      num_or(v, "clock_frequency_hz", profile.clock_frequency, "profile");
-  profile.default_activity =
-      num_or(v, "default_activity", profile.default_activity, "profile");
+  profile.clock_frequency = finite(
+      num_or(v, "clock_frequency_hz", profile.clock_frequency, "profile"),
+      "profile.clock_frequency_hz");
+  profile.default_activity = rate(
+      num_or(v, "default_activity", profile.default_activity, "profile"),
+      "profile.default_activity");
   profile.unit_activity =
       rate_map_from_json(v.find("unit_activity"), "profile.unit_activity");
   profile.sram_reads_per_cycle = rate_map_from_json(
@@ -122,8 +143,9 @@ obs::Json activity_to_json(const gatesim::MeasuredActivity& activity) {
 
 gatesim::MeasuredActivity activity_from_json(const JsonValue& v) {
   gatesim::MeasuredActivity activity;
-  activity.clock_frequency =
-      num_or(v, "clock_frequency_hz", activity.clock_frequency, "activity");
+  activity.clock_frequency = finite(
+      num_or(v, "clock_frequency_hz", activity.clock_frequency, "activity"),
+      "activity.clock_frequency_hz");
   activity.cycles = v.at("cycles", "activity").as_uint("activity.cycles");
   activity.events = v.at("events", "activity").as_uint("activity.events");
   activity.glitches =
@@ -150,10 +172,15 @@ obs::Json macro_to_json(const sram::MacroSpec& macro) {
   return j;
 }
 
+// Words and bits per word of one macro.
+constexpr std::int64_t kMaxMacroDim = 65536;
+
 sram::MacroSpec macro_from_json(const JsonValue& v) {
   sram::MacroSpec macro;
-  macro.rows = static_cast<int>(v.at("rows", "macro").as_number("macro.rows"));
-  macro.cols = static_cast<int>(v.at("cols", "macro").as_number("macro.cols"));
+  macro.rows = static_cast<int>(
+      v.at("rows", "macro").as_int("macro.rows", 1, kMaxMacroDim));
+  macro.cols = static_cast<int>(
+      v.at("cols", "macro").as_int("macro.cols", 1, kMaxMacroDim));
   return macro;
 }
 
@@ -189,16 +216,23 @@ SweepQuery sweep_query_from_json(const JsonValue& v) {
       bool_or(v, "run_feasibility", query.run_feasibility, "sweep");
   if (const JsonValue* profile = v.find("profile"))
     query.profile = profile_from_json(*profile);
-  query.cooling_budget_w =
-      num_or(v, "cooling_budget_w", query.cooling_budget_w, "sweep");
-  query.deadline_s = num_or(v, "deadline_s", query.deadline_s, "sweep");
-  query.cycles_per_classification = num_or(
-      v, "cycles_per_classification", query.cycles_per_classification,
-      "sweep");
-  query.qubits =
-      static_cast<int>(num_or(v, "qubits", query.qubits, "sweep"));
-  query.threads =
-      static_cast<int>(num_or(v, "threads", query.threads, "sweep"));
+  query.cooling_budget_w = finite(
+      num_or(v, "cooling_budget_w", query.cooling_budget_w, "sweep"),
+      "sweep.cooling_budget_w");
+  query.deadline_s = finite(num_or(v, "deadline_s", query.deadline_s, "sweep"),
+                            "sweep.deadline_s");
+  query.cycles_per_classification =
+      finite(num_or(v, "cycles_per_classification",
+                    query.cycles_per_classification, "sweep"),
+             "sweep.cycles_per_classification");
+  const auto count = [&](std::string_view key, int fallback) {
+    const JsonValue* n = v.find(key);
+    if (!n || n->is_null()) return fallback;
+    return static_cast<int>(
+        n->as_int("sweep." + std::string(key), 0, INT_MAX));
+  };
+  query.qubits = count("qubits", query.qubits);
+  query.threads = count("threads", query.threads);
   return query;
 }
 
@@ -535,30 +569,24 @@ void check_physical(const core::Corner& corner, const std::string& where) {
 }  // namespace
 
 FlowRequest parse_request(const std::string& text) {
-  JsonValue doc;
-  try {
-    doc = json_parse(text);
-  } catch (const core::FlowError& e) {
-    throw core::FlowError("request-parse", "", e.detail());
-  }
-  if (!doc.is_object())
-    throw core::FlowError("request-parse", "", "request must be an object");
-  const std::string schema = string_or(doc, "schema");
-  if (schema != "cryosoc-req-v1")
-    throw core::FlowError("request-parse", "",
-                          "unsupported schema '" + schema +
-                              "' (expected cryosoc-req-v1)");
-  const std::string kind_text =
-      doc.at("kind", "request").as_string("request.kind");
-  const auto kind = kind_from_name(kind_text);
-  if (!kind)
-    throw core::FlowError("request-parse", "",
-                          "unknown request kind '" + kind_text + "'");
-
   FlowRequest request;
-  request.kind = *kind;
-  request.id = string_or(doc, "id");
   try {
+    const JsonValue doc = json_parse(text);
+    if (!doc.is_object())
+      throw core::FlowError("request-parse", "", "request must be an object");
+    const std::string schema = string_or(doc, "schema");
+    if (schema != "cryosoc-req-v1")
+      throw core::FlowError("request-parse", "",
+                            "unsupported schema '" + schema +
+                                "' (expected cryosoc-req-v1)");
+    const std::string kind_text =
+        doc.at("kind", "request").as_string("request.kind");
+    const auto kind = kind_from_name(kind_text);
+    if (!kind)
+      throw core::FlowError("request-parse", "",
+                            "unknown request kind '" + kind_text + "'");
+    request.kind = *kind;
+    request.id = string_or(doc, "id");
     if (request.kind != QueryKind::kSweep)
       request.corner = corner_from_json(doc.at("corner", "request"));
     switch (request.kind) {
@@ -579,6 +607,7 @@ FlowRequest parse_request(const std::string& text) {
         break;
     }
   } catch (const core::FlowError& e) {
+    // Every defect of the text, JSON syntax included, is one stage.
     throw core::FlowError("request-parse", "", e.detail());
   }
   if (request.kind == QueryKind::kSweep) {

@@ -233,6 +233,30 @@ TEST(Cryosocd, PipelinedLinesComeBackInSubmissionOrder) {
       << daemon.stderr_text();
 }
 
+TEST(Cryosocd, DeepNestingIsAParseErrorNotACrash) {
+  // A line of a million '[' between two valid ones: the daemon answers
+  // all three in order and exits cleanly at EOF.
+  Daemon daemon(daemon_flags());
+  ASSERT_TRUE(daemon.send(sram_line(0)));
+  ASSERT_TRUE(daemon.send(std::string(1'000'000, '[')));
+  ASSERT_TRUE(daemon.send(sram_line(1)));
+  daemon.close_stdin();
+  std::vector<FlowResponse> responses;
+  for (int i = 0; i < 3; ++i) {
+    const std::optional<std::string> line = daemon.read_line();
+    ASSERT_TRUE(line.has_value()) << "response " << i << " missing";
+    responses.push_back(parse_response(*line));
+  }
+  EXPECT_TRUE(responses[0].ok) << responses[0].error;
+  EXPECT_EQ(responses[0].meta.id, "q0");
+  EXPECT_FALSE(responses[1].ok);
+  EXPECT_EQ(responses[1].error_stage, "request-parse");
+  EXPECT_TRUE(responses[2].ok) << responses[2].error;
+  EXPECT_EQ(responses[2].meta.id, "q1");
+  EXPECT_FALSE(daemon.read_line().has_value());
+  EXPECT_EQ(daemon.wait(), 0);
+}
+
 TEST(Cryosocd, BadNumericFlagsAreUsageErrors) {
   const std::vector<std::vector<std::string>> bad = {
       {"--window", "-1"},         {"--window", "0"},

@@ -109,6 +109,52 @@ TEST(Flow, WorkloadPowerMatchesFig6Shape) {
   EXPECT_GT(1.0 - p10.leakage() / p300.leakage(), 0.99);
 }
 
+// FNV-1a over the bits of each report's five doubles.
+std::uint64_t power_hash(const std::vector<power::PowerReport>& reports) {
+  std::string bytes;
+  for (const power::PowerReport& r : reports)
+    for (const double v : {r.dynamic_logic, r.dynamic_sram, r.dynamic_glitch,
+                           r.leakage_logic, r.leakage_sram})
+      bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  return fnv1a64(bytes);
+}
+
+// Recorded with the analyzer that looked up every gate's switching energy
+// per call: the uniform path at both committed corners, bit for bit.
+TEST(Flow, WorkloadPowerGolden) {
+  std::vector<power::PowerReport> uniform;
+  for (const double t : {300.0, 10.0}) {
+    const Corner c = flow().corner(t);
+    const double fmax = flow().timing(c).fmax;
+    for (const double activity : {0.05, 0.3}) {
+      for (const double f : {fmax, 1e9}) {
+        power::ActivityProfile profile;
+        profile.clock_frequency = f;
+        profile.default_activity = activity;
+        uniform.push_back(flow().workload_power(c, profile));
+      }
+    }
+  }
+  EXPECT_EQ(power_hash(uniform), 0x59a8bb4b2d198ba3ull);
+
+  // Unit prefixes (longest match) and SRAM rates (first match).
+  riscv::Perf perf;
+  perf.cycles = 12000;
+  perf.instructions = 9000;
+  perf.alu_ops = 4100;
+  perf.mul_ops = 300;
+  perf.fpu_ops = 120;
+  perf.loads = 1800;
+  perf.stores = 700;
+  perf.l1i_misses = 40;
+  perf.l1d_misses = 95;
+  std::vector<power::PowerReport> from_perf;
+  for (const double t : {300.0, 10.0})
+    from_perf.push_back(flow().workload_power(
+        flow().corner(t), flow().activity_from_perf(perf, 1.5e9)));
+  EXPECT_EQ(power_hash(from_perf), 0x520d79d59f5b76f3ull);
+}
+
 TEST(Flow, ActivityProfileSane) {
   riscv::Perf perf;
   perf.cycles = 1000;

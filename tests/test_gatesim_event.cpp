@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/artifacts.hpp"
 #include "core/flow.hpp"
 #include "gatesim/activity.hpp"
 #include "gatesim/calendar_queue.hpp"
@@ -12,7 +13,9 @@
 #include "liberty/liberty.hpp"
 #include "netlist/soc_gen.hpp"
 #include "obs/metrics.hpp"
+#include "power/power.hpp"
 #include "riscv/workloads.hpp"
+#include "sram/sram.hpp"
 
 namespace cryo::gatesim {
 namespace {
@@ -431,6 +434,29 @@ TEST_F(SocActivity, GoldenCounts) {
   EXPECT_EQ(timed_act.fingerprint(), 10640373555744797162ull);
   // When the last transition landed: moves with any per-arc delay.
   EXPECT_EQ(timed.simulator().stats().now_fs, 40542056u);
+}
+
+// Recorded with the analyzer that looked up every output's switching
+// energy per call: measured power of the golden deck's activity against
+// both committed libraries, bit for bit.
+TEST_F(SocActivity, MeasuredPowerGolden) {
+  const auto deck = make_soc_deck(soc(), trace(), 40);
+  const auto lib300 =
+      liberty::read_file(core::default_lib_dir() + "/cryo5_300k.lib");
+  const auto act = ActivityExtractor(soc(), lib300).extract(deck, 1e9);
+  std::string bytes;
+  for (const char* stem : {"300k", "10k"}) {
+    const auto lib = liberty::read_file(core::default_lib_dir() + "/cryo5_" +
+                                        stem + ".lib");
+    const sram::SramModel sm(device::golden_nmos(), device::golden_pmos(),
+                             lib.temperature);
+    const power::PowerReport r =
+        power::PowerAnalyzer(soc(), lib, sm).analyze(act);
+    for (const double v : {r.dynamic_logic, r.dynamic_sram, r.dynamic_glitch,
+                           r.leakage_logic, r.leakage_sram})
+      bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  }
+  EXPECT_EQ(core::fnv1a64(bytes), 0x9bed43955c73c4e0ull);
 }
 
 TEST_F(SocActivity, ObsCountersAccumulate) {

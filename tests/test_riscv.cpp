@@ -140,6 +140,31 @@ TEST(Assembler, SyntaxErrors) {
         "fadd.d fa0, fa1, f32", "fadd.d fa0, fa1, f01"})
     EXPECT_THROW(assemble(bad), std::runtime_error) << bad;
   EXPECT_NO_THROW(assemble("add x31, x0, x9\nfadd.d f31, f0, f9"));
+  // A label is defined once; a .word holds a signed or unsigned 32-bit
+  // value, nothing wider.
+  const auto message = [](const std::string& source) {
+    try {
+      assemble(source);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message("a: nop\nb: nop\na: nop\nj a"),
+            "assembler line 3: duplicate label 'a' in 'a: nop'");
+  EXPECT_EQ(message("x: y: x: nop"),
+            "assembler line 1: duplicate label 'x' in 'x: y: x: nop'");
+  EXPECT_EQ(message("nop\n.word 0x100000000"),
+            "assembler line 2: .word value out of range [-2^31, 2^32-1] in "
+            "'.word 0x100000000'");
+  EXPECT_EQ(message(".word -5000000000"),
+            "assembler line 1: .word value out of range [-2^31, 2^32-1] in "
+            "'.word -5000000000'");
+  EXPECT_EQ(message(".word -2147483649"),
+            "assembler line 1: .word value out of range [-2^31, 2^32-1] in "
+            "'.word -2147483649'");
+  const Program edges = assemble(".word 0xFFFFFFFF\n.word -2147483648");
+  EXPECT_EQ(edges.words, (std::vector<std::uint32_t>{0xFFFFFFFFu, 0x80000000u}));
 }
 
 TEST(Assembler, ErrorsNameTheirLine) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/artifacts.hpp"
 #include "core/error.hpp"
 #include "core/flow.hpp"
 #include "obs/metrics.hpp"
@@ -159,6 +160,75 @@ TEST(ServeWire, ParseRejectsMalformedRequests) {
   EXPECT_EQ(stage_of(sweep(R"({"vdd":0.7,"temperature_k":-5})")),
             "request-parse");
   EXPECT_EQ(stage_of(sweep(R"({"vdd":0.7,"temperature_k":10})")), "no-throw");
+
+  // Nesting is bounded (a recursive descent over a million '[' would
+  // overflow the stack): 64 levels parse, 65 do not.
+  EXPECT_EQ(stage_of(std::string(1'000'000, '[')), "request-parse");
+  const auto nested = [&](int depth) {
+    return at("timing", R"({"vdd":0.7,"temperature_k":300})",
+              ",\"x\":" + std::string(depth - 1, '[') +
+                  std::string(depth - 1, ']'));
+  };
+  EXPECT_EQ(stage_of(nested(64)), "no-throw");
+  EXPECT_EQ(stage_of(nested(65)), "request-parse");
+
+  // Integer fields take whole numbers inside their range only: no
+  // saturating or truncating cast reaches the flow.
+  const auto macro = [&](const std::string& rows, const std::string& cols) {
+    return at("sram", R"({"vdd":0.7,"temperature_k":300})",
+              ",\"macro\":{\"rows\":" + rows + ",\"cols\":" + cols + "}");
+  };
+  for (const auto& [rows, cols] : std::vector<std::pair<const char*, const char*>>{
+           {"1e30", "64"}, {"-512", "0"}, {"512.7", "64"}, {"512", "0"},
+           {"65537", "64"}, {"5e2", "64"}, {"512", "-1"}, {"512", "1e400"},
+           {"\"512\"", "64"}})
+    EXPECT_EQ(stage_of(macro(rows, cols)), "request-parse") << rows << " " << cols;
+  EXPECT_EQ(stage_of(macro("65536", "1")), "no-throw");
+  const auto sweep_with = [](const std::string& extra) {
+    return R"({"schema":"cryosoc-req-v1","kind":"sweep","sweep":{"corners":[)"
+           R"({"vdd":0.7,"temperature_k":300}])" +
+           extra + "}}";
+  };
+  for (const char* extra :
+       {R"(,"qubits":1e30)", R"(,"qubits":-1)", R"(,"qubits":2.5)",
+        R"(,"threads":2147483648)", R"(,"threads":-4)", R"(,"threads":1e3)"})
+    EXPECT_EQ(stage_of(sweep_with(extra)), "request-parse") << extra;
+  EXPECT_EQ(stage_of(sweep_with(R"(,"qubits":2147483647,"threads":0)")),
+            "no-throw");
+
+  // Profile and sweep numbers are finite; activities and SRAM rates are
+  // not negative.
+  const auto power = [&](const std::string& profile) {
+    return at("power", R"({"vdd":0.7,"temperature_k":300})",
+              ",\"profile\":" + profile);
+  };
+  for (const char* profile :
+       {R"({"default_activity":1e400})", R"({"default_activity":-3})",
+        R"({"clock_frequency_hz":1e400})", R"({"clock_frequency_hz":-1e400})",
+        R"({"unit_activity":{"alu":-0.1}})", R"({"unit_activity":{"alu":1e999}})",
+        R"({"sram_reads_per_cycle":{"l1d":-1}})",
+        R"({"sram_writes_per_cycle":{"l1d":1e400}})"}) {
+    EXPECT_EQ(stage_of(power(profile)), "request-parse") << profile;
+    EXPECT_EQ(stage_of(sweep_with(std::string(R"(,"profile":)") + profile)),
+              "request-parse")
+        << profile;
+  }
+  EXPECT_EQ(stage_of(power(R"({"clock_frequency_hz":0,"default_activity":0})")),
+            "no-throw");
+  for (const char* extra :
+       {R"(,"cooling_budget_w":1e400)", R"(,"deadline_s":-1e400)",
+        R"(,"cycles_per_classification":1e309)"})
+    EXPECT_EQ(stage_of(sweep_with(extra)), "request-parse") << extra;
+
+  // Measured-activity counters are whole, non-negative numbers.
+  const auto measured = [&](const std::string& cycles) {
+    return at("measured_power", R"({"vdd":0.7,"temperature_k":300})",
+              ",\"activity\":{\"cycles\":" + cycles +
+                  ",\"events\":0,\"glitches\":0}");
+  };
+  for (const char* cycles : {"1.5", "1e3", "-1", "18446744073709551616"})
+    EXPECT_EQ(stage_of(measured(cycles)), "request-parse") << cycles;
+  EXPECT_EQ(stage_of(measured("18446744073709551615")), "no-throw");
 }
 
 TEST(ServeWire, ResponseRoundTripsByteIdenticallyForEveryKind) {
@@ -503,6 +573,8 @@ TEST(ServeService, FullCatalogTimingMatchesDirectFlow) {
 TEST(ServeService, OneStaRunPerCornerAcrossTimingPowerAndSweep) {
   // timing, power at fmax and a 1-corner sweep at the same corner all
   // read the corner's memoized timing report: one STA run between them.
+  // Every power query and the sweep weigh one analyzer's energies, and
+  // every sram query reads the SRAM model the corner state was built with.
   FlowConfig config;
   config.calibrate_devices = false;
   CryoSocFlow flow(config);
@@ -516,15 +588,63 @@ TEST(ServeService, OneStaRunPerCornerAcrossTimingPowerAndSweep) {
   sweep.profile = profile;
   sweep.threads = 1;
 
+  flow.soc();  // synthesis resolves the 300 K corner and its SRAM model
   const std::uint64_t runs0 = counter("sta.runs");
+  const std::uint64_t builds0 = counter("flow.power_builds");
+  const std::uint64_t sram_misses0 = counter("flow.sram_cache.miss");
   const FlowResponse timing = execute(flow, timing_request(c10));
   const FlowResponse power = execute(flow, power_request(c10, profile));
+  for (int i = 0; i < 9; ++i) {
+    power::ActivityProfile p;
+    p.clock_frequency = i % 2 ? 0.0 : 5e8 * (i + 1);
+    p.default_activity = 0.02 * (i + 1);
+    ASSERT_TRUE(execute(flow, power_request(c10, p)).ok);
+  }
   const FlowResponse swept = execute(flow, sweep_request(sweep));
+  for (int i = 0; i < 10; ++i)
+    ASSERT_TRUE(execute(flow, sram_request(c10, {64 << (i % 4), 8 << i})).ok);
   EXPECT_EQ(counter("sta.runs") - runs0, 1u);
+  EXPECT_EQ(counter("flow.power_builds") - builds0, 1u);
+  EXPECT_EQ(counter("flow.sram_cache.miss") - sram_misses0, 1u);
 
   ASSERT_TRUE(timing.ok && power.ok && swept.ok);
   ASSERT_TRUE(swept.sweep->corners.at(0).timing.has_value());
   EXPECT_EQ(swept.sweep->corners.at(0).timing->fmax, timing.timing->fmax);
+  ASSERT_TRUE(swept.sweep->corners.at(0).power.has_value());
+  EXPECT_EQ(swept.sweep->corners.at(0).power->total(), power.power->total());
+}
+
+// Recorded when every sram query built its own SramModel: four macros at
+// two committed corners and one never characterized, bit for bit. The
+// SRAM model needs no library, so none of these characterizes a cell.
+TEST(ServeService, SramGolden) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "serve_sram_golden";
+  fs::remove_all(dir);
+  CryoSocFlow flow(tiny_config(dir.string()));
+  const std::uint64_t runs0 = counter("charlib.runs");
+  std::string bytes;
+  const auto add = [&](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  for (const double t : {300.0, 77.0, 10.0}) {
+    for (const sram::MacroSpec macro :
+         {sram::MacroSpec{512, 64}, sram::MacroSpec{64, 16},
+          sram::MacroSpec{4096, 256}, sram::MacroSpec{256, 32}}) {
+      const FlowResponse r = execute(flow, sram_request(flow.corner(t), macro));
+      ASSERT_TRUE(r.ok) << r.error;
+      const SramResult& s = *r.sram;
+      add(s.macro.rows);
+      add(s.macro.cols);
+      for (const double v :
+           {s.timing.access_time, s.timing.setup_time, s.timing.min_cycle,
+            s.power.leakage, s.power.read_energy, s.power.write_energy,
+            s.leakage_per_bit_w, s.reference_gate_delay_s})
+        add(v);
+    }
+  }
+  EXPECT_EQ(core::fnv1a64(bytes), 0x657fdf4ebee91e0full);
+  EXPECT_EQ(counter("charlib.runs"), runs0);
+  fs::remove_all(dir);
 }
 
 // ---- Service: failures become responses ----------------------------------
