@@ -19,7 +19,6 @@
 #pragma once
 
 #include <charconv>
-#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -55,20 +54,6 @@ inline std::string sanitize(const std::string& text) {
 }
 
 }  // namespace corner_detail
-
-// True when two temperatures agree to within wire-format round-trip
-// precision. Corner identity (operator==, hashing, the corner cache) is
-// exact by design, but values that cross a lossy text format — Liberty
-// nom_temperature and external clients both print %.6g, i.e. six
-// significant digits with up to 5e-6 relative rounding error — come back
-// infinitesimally off. Derived series that group corners by temperature
-// (fmax-vs-T curves, cooling crossover, interpolation anchor matching)
-// must treat values inside that noise band as the same physical
-// temperature, or a round-tripped corner forks its own grid point.
-inline bool temperature_close(double a, double b) {
-  const double scale = std::max(std::abs(a), std::abs(b));
-  return std::abs(a - b) <= 1e-5 * scale;
-}
 
 struct Corner {
   double vdd = 0.7;            // [V]

@@ -59,8 +59,7 @@ FlowConfig validate_config(FlowConfig config) {
                       "(got " +
                           std::to_string(temps.size()) + ")");
     for (std::size_t i = 1; i < temps.size(); ++i)
-      if (temps[i] <= temps[i - 1] ||
-          temperature_close(temps[i], temps[i - 1]))
+      if (temps[i] <= temps[i - 1])
         throw FlowError(
             "config", "",
             "FlowConfig.interp_anchor_temps must be strictly ascending "
@@ -202,8 +201,7 @@ CryoSocFlow::Corners::Built CryoSocFlow::build_corner_state(
     const Corner& corner, const Corners::Ticket& ticket) {
   if (!config_.interp_anchor_temps.empty()) {
     // Only exact anchor temperatures take the characterize/artifact path;
-    // everything else (including round-trip-noise neighbors of an anchor)
-    // is synthesized, so a dense T-grid costs zero extra
+    // everything else is synthesized, so a dense T-grid costs zero extra
     // characterizations.
     bool exact_anchor = false;
     for (double t : config_.interp_anchor_temps)
@@ -271,11 +269,15 @@ CryoSocFlow::Corners::Built CryoSocFlow::build_corner_state(
                        corner);
     }
   };
+  // Every library characterized here is rounded to its artifact's numbers
+  // before anything reads it, so this process answers exactly as one that
+  // loads the artifact.
   std::vector<std::string> priority = priority_cells(corner);
   if (priority.empty()) {
     charlib::Library lib;
     try {
       lib = characterizer.characterize_all(defs, name);
+      liberty::round_to_artifact(lib);
     } catch (...) {
       throw failure(std::current_exception());
     }
@@ -301,10 +303,12 @@ CryoSocFlow::Corners::Built CryoSocFlow::build_corner_state(
       OBS_SPAN("flow.library.background", name);
       charlib::Library lib = characterizer.characterize_all(
           defs, name, priority, [&](charlib::Library cells) {
+            liberty::round_to_artifact(cells);
             early.set_value(std::move(cells));
             published = true;
             published_at = std::chrono::steady_clock::now();
           });
+      liberty::round_to_artifact(lib);
       write_artifact(lib, path, config_.lib_dir, key);
       corners_.finish(ticket, state(std::move(lib)));
       background.observe(std::chrono::duration<double>(

@@ -57,13 +57,6 @@ bool in_failed(const CellChar& cell, const std::string& label) {
          cell.failed_arcs.end();
 }
 
-bool axis_close(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!core::temperature_close(a[i], b[i])) return false;
-  return true;
-}
-
 // The arc identities every anchor must account for (present, or
 // quarantined) in one cell: first-anchor declaration order, then any
 // extras in anchor order, so the synthesized arc list is deterministic.
@@ -85,12 +78,12 @@ std::vector<ArcKey> arc_union(
 // names the candidate in error messages ("anchor 2 (cryo5_150k)").
 void validate_same_topology(const Library& ref, const Library& lib,
                             const std::string& what) {
-  if (!core::temperature_close(ref.vdd, lib.vdd))
+  if (ref.vdd != lib.vdd)
     fail(what + " has vdd " + core::corner_detail::shortest(lib.vdd) +
          ", expected " + core::corner_detail::shortest(ref.vdd));
-  if (!axis_close(ref.slew_grid, lib.slew_grid))
+  if (ref.slew_grid != lib.slew_grid)
     fail(what + " has a different slew grid");
-  if (!axis_close(ref.load_grid, lib.load_grid))
+  if (ref.load_grid != lib.load_grid)
     fail(what + " has a different load grid");
   if (ref.cells.size() != lib.cells.size())
     fail(what + " has " + std::to_string(lib.cells.size()) +
@@ -159,8 +152,7 @@ InterpLibrary::InterpLibrary(
     temps_.push_back(anchors_[i]->temperature);
   }
   for (std::size_t i = 1; i < temps_.size(); ++i) {
-    if (temps_[i] <= temps_[i - 1] ||
-        core::temperature_close(temps_[i], temps_[i - 1]))
+    if (temps_[i] <= temps_[i - 1])
       fail("anchor temperatures must be strictly ascending (anchor " +
            std::to_string(i) + " at " +
            core::corner_detail::shortest(temps_[i]) + " K follows " +
@@ -171,12 +163,6 @@ InterpLibrary::InterpLibrary(
     validate_same_topology(ref, *anchors_[i],
                            "anchor " + std::to_string(i) + " (" +
                                anchors_[i]->name + ")");
-}
-
-bool InterpLibrary::is_anchor(double temperature) const {
-  for (double t : temps_)
-    if (core::temperature_close(t, temperature)) return true;
-  return false;
 }
 
 charlib::Library InterpLibrary::at(double temperature,

@@ -21,8 +21,11 @@
 // Anchor policy:
 //  - >= 1 anchor, strictly ascending temperatures, one shared vdd, one
 //    shared cell/arc topology (cell names/order, pin caps, leakage
-//    patterns, table grids). Violations throw
-//    core::FlowError{stage="interp"} naming the offending anchor.
+//    patterns, table grids), all compared exactly. Violations throw
+//    core::FlowError{stage="interp"} naming the offending anchor. An
+//    anchor's temperature is the one its library records, which for a
+//    characterized corner is its artifact's six digits: two anchors the
+//    artifact cannot tell apart are not ascending.
 //  - An arc quarantined at ANY anchor stays quarantined in every
 //    synthesized library (its bracketing tables are incomplete, so an
 //    interpolated table would be garbage); quarantine labels are the
@@ -64,11 +67,6 @@ class InterpLibrary {
   const std::vector<double>& anchor_temperatures() const { return temps_; }
   double vdd() const { return anchors_.front()->vdd; }
   std::size_t anchor_count() const { return anchors_.size(); }
-
-  // True when `temperature` matches an anchor to within wire-format
-  // round-trip noise (core::temperature_close) — such requests should be
-  // served from the anchor itself, not re-synthesized.
-  bool is_anchor(double temperature) const;
 
  private:
   std::vector<std::shared_ptr<const charlib::Library>> anchors_;

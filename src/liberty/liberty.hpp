@@ -56,6 +56,22 @@ charlib::Library parse(const std::string& text);
 // "liberty-parse" carrying parse()'s line-numbered message and the path.
 charlib::Library read_file(const std::string& path);
 
+// Rounds every number the artifact stores to exactly the value it stores:
+// temperature, vdd, the slew/load grids, area, leakage states and their
+// average, pin caps, setup/hold, and each table's values and axes. Each is
+// formatted as write() formats it and read back as parse() reads it, so
+// afterwards every one of them has the bits parse(write(library)) gives,
+// and write() renders the same bytes as before. A library parse() built
+// is left unchanged. Non-finite values are left as they are (parse()
+// rejects them). Throws std::invalid_argument when two points of a
+// table's axis round to one value.
+//
+// Only this module knows the artifact's precision: a freshly
+// characterized library is rounded with this before anything reads it,
+// so a process that characterized a corner answers from the same numbers
+// as one that loads the corner's artifact.
+void round_to_artifact(charlib::Library& library);
+
 // ---- Artifact manifest sidecars ----------------------------------------
 //
 // A characterized .lib artifact carries a sidecar manifest

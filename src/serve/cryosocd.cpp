@@ -16,29 +16,33 @@
 // workers while the output order stays exactly the input order. A
 // malformed line or an admission rejection produces an ok=false response
 // line (stages "request-parse" / "admission"; a corner whose temperature
-// or vdd is not finite and > 0 is a parse error); the daemon itself never
-// dies on bad input. A cold corner's timing and power answer as soon as
-// the netlist's cells are characterized, while the rest of the catalog
-// and the artifact finish in the background. On EOF it drains: every
-// answer, then that background characterization, so each corner's
-// artifact is on disk before it prints an obs summary to stderr and exits
-// 0. Numeric flags take a whole number >= 1; a bad flag or value is a
-// usage error (exit 2).
+// or vdd is not finite and > 0 is a parse error, and so is a line longer
+// than serve::kMaxRequestLineBytes, which is read through without being
+// kept); the daemon itself never dies on bad input. A cold corner's
+// timing and power answer as soon as the netlist's cells are
+// characterized, while the rest of the catalog and the artifact finish in
+// the background. On EOF it drains: every answer, then that background
+// characterization, so each corner's artifact is on disk before it prints
+// an obs summary to stderr and exits 0. Numeric flags take a whole number
+// >= 1; a bad flag or value is a usage error (exit 2).
 //
 //   echo '{"schema":"cryosoc-req-v1","kind":"timing",
 //          "corner":{"vdd":0.7,"temperature_k":10}}' | cryosocd
+#include <unistd.h>
+
+#include <cerrno>
 #include <charconv>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <iostream>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/flow.hpp"
@@ -89,6 +93,55 @@ serve::FlowResponse error_response(const std::string& id,
   response.meta.id = id;
   return response;
 }
+
+// Lines of standard input, read in chunks as they arrive (a client may
+// wait for each answer before it sends its next line). A line longer than
+// `limit` bytes is read through to its newline without being kept.
+class LineReader {
+ public:
+  explicit LineReader(std::size_t limit) : limit_(limit), chunk_(1 << 16) {}
+
+  // The next line, without its newline, in `line`; false at end of input.
+  // `oversized` says the line was longer than the limit (`line` is then
+  // empty).
+  bool next(std::string& line, bool& oversized) {
+    line.clear();
+    oversized = false;
+    for (bool any = false;; any = true) {
+      if (pos_ == end_ && !fill()) return any;
+      const char* start = chunk_.data() + pos_;
+      const auto* newline =
+          static_cast<const char*>(std::memchr(start, '\n', end_ - pos_));
+      const std::size_t n = newline ? newline - start : end_ - pos_;
+      if (!oversized && line.size() + n > limit_) {
+        oversized = true;
+        line.clear();
+      }
+      if (!oversized) line.append(start, n);
+      pos_ += n;
+      if (newline) {
+        ++pos_;
+        return true;
+      }
+    }
+  }
+
+ private:
+  bool fill() {
+    ssize_t n = 0;
+    do {
+      n = ::read(STDIN_FILENO, chunk_.data(), chunk_.size());
+    } while (n < 0 && errno == EINTR);
+    pos_ = 0;
+    end_ = n > 0 ? static_cast<std::size_t>(n) : 0;
+    return end_ > 0;
+  }
+
+  const std::size_t limit_;
+  std::vector<char> chunk_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+};
 
 // The responses of admitted lines, in submission order. The stdin reader
 // waits for room, then push()es each line's future; run(), on its own
@@ -214,13 +267,20 @@ int main(int argc, char** argv) {
   std::thread writer([&out] { out.run(); });
   std::uint64_t lines = 0;
   std::string line;
-  while (std::getline(std::cin, line)) {
+  bool oversized = false;
+  LineReader in(serve::kMaxRequestLineBytes);
+  while (in.next(line, oversized)) {
     ++lines;
-    if (line.empty()) continue;
+    if (line.empty() && !oversized) continue;
     out.wait_for_room();
     std::string id;
     std::shared_future<serve::FlowResponse> response;
     try {
+      if (oversized)
+        throw core::FlowError(
+            "request-parse", "",
+            "request line exceeds " +
+                std::to_string(serve::kMaxRequestLineBytes) + " bytes");
       serve::FlowRequest request = serve::parse_request(line);
       id = request.id;
       response = service->submit(std::move(request));

@@ -286,6 +286,22 @@ const std::string& JsonValue::as_string(std::string_view what) const {
   return text;
 }
 
+const std::vector<JsonValue>& JsonValue::as_array(
+    std::string_view what) const {
+  if (kind != Kind::kArray)
+    throw core::FlowError("json-parse", "",
+                          std::string(what) + ": expected an array");
+  return items;
+}
+
+const std::vector<std::pair<std::string, JsonValue>>& JsonValue::as_object(
+    std::string_view what) const {
+  if (kind != Kind::kObject)
+    throw core::FlowError("json-parse", "",
+                          std::string(what) + ": expected an object");
+  return members;
+}
+
 const JsonValue& JsonValue::at(std::string_view key,
                                std::string_view what) const {
   const JsonValue* v = find(key);

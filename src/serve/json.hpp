@@ -54,6 +54,10 @@ class JsonValue {
                       std::int64_t max) const;
   bool as_bool(std::string_view what) const;
   const std::string& as_string(std::string_view what) const;
+  // An array's items and an object's members, checked the same way.
+  const std::vector<JsonValue>& as_array(std::string_view what) const;
+  const std::vector<std::pair<std::string, JsonValue>>& as_object(
+      std::string_view what) const;
 
   // Required-member lookup on an object; throws when missing.
   const JsonValue& at(std::string_view key, std::string_view what) const;

@@ -87,7 +87,7 @@ std::map<std::string, double> rate_map_from_json(const JsonValue* v,
                                                  std::string_view what) {
   std::map<std::string, double> rates;
   if (!v) return rates;
-  for (const auto& [key, value] : v->members)
+  for (const auto& [key, value] : v->as_object(what))
     rates[key] = rate(value.as_number(what), what);
   return rates;
 }
@@ -104,7 +104,9 @@ obs::Json profile_to_json(const power::ActivityProfile& profile) {
   return j;
 }
 
-power::ActivityProfile profile_from_json(const JsonValue& v) {
+power::ActivityProfile profile_from_json(const JsonValue& v,
+                                         std::string_view what) {
+  v.as_object(what);  // else every field below would read as absent
   power::ActivityProfile profile;
   profile.clock_frequency = finite(
       num_or(v, "clock_frequency_hz", profile.clock_frequency, "profile"),
@@ -151,10 +153,10 @@ gatesim::MeasuredActivity activity_from_json(const JsonValue& v) {
   activity.glitches =
       v.at("glitches", "activity").as_uint("activity.glitches");
   if (const JsonValue* toggles = v.find("net_toggles"))
-    for (const JsonValue& t : toggles->items)
+    for (const JsonValue& t : toggles->as_array("activity.net_toggles"))
       activity.net_toggles.push_back(t.as_uint("activity.net_toggles"));
   if (const JsonValue* glitches = v.find("net_glitches"))
-    for (const JsonValue& g : glitches->items)
+    for (const JsonValue& g : glitches->as_array("activity.net_glitches"))
       activity.net_glitches.push_back(g.as_uint("activity.net_glitches"));
   activity.sram_reads_per_cycle = rate_map_from_json(
       v.find("sram_reads_per_cycle"), "activity.sram_reads_per_cycle");
@@ -207,7 +209,13 @@ obs::Json sweep_query_to_json(const SweepQuery& query) {
 
 SweepQuery sweep_query_from_json(const JsonValue& v) {
   SweepQuery query;
-  for (const JsonValue& corner : v.at("corners", "sweep").items)
+  const auto& corners = v.at("corners", "sweep").as_array("sweep.corners");
+  if (corners.size() > kMaxSweepCorners)
+    throw core::FlowError("request-parse", "",
+                          "sweep.corners: " + std::to_string(corners.size()) +
+                              " corners, at most " +
+                              std::to_string(kMaxSweepCorners));
+  for (const JsonValue& corner : corners)
     query.corners.push_back(corner_from_json(corner));
   query.run_timing = bool_or(v, "run_timing", query.run_timing, "sweep");
   query.run_power = bool_or(v, "run_power", query.run_power, "sweep");
@@ -215,7 +223,7 @@ SweepQuery sweep_query_from_json(const JsonValue& v) {
   query.run_feasibility =
       bool_or(v, "run_feasibility", query.run_feasibility, "sweep");
   if (const JsonValue* profile = v.find("profile"))
-    query.profile = profile_from_json(*profile);
+    query.profile = profile_from_json(*profile, "sweep.profile");
   query.cooling_budget_w = finite(
       num_or(v, "cooling_budget_w", query.cooling_budget_w, "sweep"),
       "sweep.cooling_budget_w");
@@ -591,7 +599,8 @@ FlowRequest parse_request(const std::string& text) {
       request.corner = corner_from_json(doc.at("corner", "request"));
     switch (request.kind) {
       case QueryKind::kPower:
-        request.profile = profile_from_json(doc.at("profile", "request"));
+        request.profile =
+            profile_from_json(doc.at("profile", "request"), "profile");
         break;
       case QueryKind::kMeasuredPower:
         request.activity = activity_from_json(doc.at("activity", "request"));

@@ -230,9 +230,22 @@ struct FlowResponse {
 
 // ---- Wire format ---------------------------------------------------------
 
+// Admission bounds, both rejected at stage "request-parse".
+//  - A sweep names at most this many corners. The largest grid in the
+//    repository's benches and tests is 20.
+inline constexpr std::size_t kMaxSweepCorners = 1024;
+//  - cryosocd reads a request line of at most this many bytes. The
+//    largest legitimate line, a measured_power request for the default
+//    SoC over a 9000-cycle deck, is 101 KB; at 20 digits per count its
+//    two 23175-net arrays would still be under 1 MB.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{4} << 20;
+
 // `cryosoc-req-v1`. include_id=false renders the canonical form used for
 // fingerprinting/coalescing.
 obs::Json to_json(const FlowRequest& request, bool include_id = true);
+// Containers of the wrong type (a profile, rate map, activity array or
+// sweep grid that is not an object or array) and a sweep over more than
+// kMaxSweepCorners corners are parse errors.
 FlowRequest parse_request(const std::string& text);
 
 // `cryosoc-resp-v1`: the deterministic payload plus a "meta" member.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <stdexcept>
 
 #include "core/error.hpp"
@@ -78,40 +79,29 @@ void derive_cross_corner(serve::SweepOutcome& report,
     }
   }
 
-  // fmax-vs-temperature curve: min fmax per temperature, ascending T.
-  // Grouping uses temperature_close, not exact ==: a corner that
-  // round-tripped through a %.6g text form (Liberty nom_temperature, a
-  // serve client) differs from its in-memory twin by wire-format noise
-  // and must not fork its own grid point.
-  std::vector<std::pair<double, double>> curve;
+  // fmax-vs-temperature curve: the minimum fmax at each exact
+  // temperature, ascending.
+  std::map<double, double> curve;
   for (const serve::SweepCornerResult& r : report.corners) {
     if (!r.ok || !r.timing) continue;
-    auto it = std::find_if(curve.begin(), curve.end(), [&](const auto& p) {
-      return core::temperature_close(p.first, r.corner.temperature);
-    });
-    if (it == curve.end())
-      curve.emplace_back(r.corner.temperature, r.timing->fmax);
-    else
-      it->second = std::min(it->second, r.timing->fmax);
+    const auto [it, fresh] =
+        curve.try_emplace(r.corner.temperature, r.timing->fmax);
+    if (!fresh) it->second = std::min(it->second, r.timing->fmax);
   }
-  std::sort(curve.begin(), curve.end());
-  report.fmax_vs_temperature = std::move(curve);
+  report.fmax_vs_temperature.assign(curve.begin(), curve.end());
 
   // Cooling-budget crossover: total power vs temperature, interpolated at
   // the budget between the warmest fitting corner and the first corner
   // above it that exceeds the budget.
-  std::vector<std::pair<double, double>> pw;  // (T, total W), worst per T
+  std::map<double, double> by_temperature;  // T -> total W, worst per T
   for (const serve::SweepCornerResult& r : report.corners) {
     if (!r.ok || !r.power) continue;
-    auto it = std::find_if(pw.begin(), pw.end(), [&](const auto& p) {
-      return core::temperature_close(p.first, r.corner.temperature);
-    });
-    if (it == pw.end())
-      pw.emplace_back(r.corner.temperature, r.power->total());
-    else
-      it->second = std::max(it->second, r.power->total());
+    const auto [it, fresh] =
+        by_temperature.try_emplace(r.corner.temperature, r.power->total());
+    if (!fresh) it->second = std::max(it->second, r.power->total());
   }
-  std::sort(pw.begin(), pw.end());
+  const std::vector<std::pair<double, double>> pw(by_temperature.begin(),
+                                                  by_temperature.end());
   for (std::size_t i = 0; i + 1 < pw.size(); ++i) {
     const auto [t0, p0] = pw[i];
     const auto [t1, p1] = pw[i + 1];

@@ -257,6 +257,38 @@ TEST(Cryosocd, DeepNestingIsAParseErrorNotACrash) {
   EXPECT_EQ(daemon.wait(), 0);
 }
 
+TEST(Cryosocd, OverlongLineIsAParseErrorAndTheNextLineIsServed) {
+  // Valid requests padded with spaces: at the byte bound one is served;
+  // one byte over, it is an ok=false line at stage request-parse, and the
+  // line after it is served as usual.
+  const auto padded = [](int i, std::size_t bytes) {
+    std::string line = sram_line(i);
+    line.insert(line.size() - 1, bytes - line.size(), ' ');
+    return line;
+  };
+  Daemon daemon(daemon_flags());
+  ASSERT_TRUE(daemon.send(padded(0, kMaxRequestLineBytes)));
+  ASSERT_TRUE(daemon.send(padded(1, kMaxRequestLineBytes + 1)));
+  ASSERT_TRUE(daemon.send(sram_line(2)));
+  daemon.close_stdin();
+  std::vector<FlowResponse> responses;
+  for (int i = 0; i < 3; ++i) {
+    const std::optional<std::string> line = daemon.read_line();
+    ASSERT_TRUE(line.has_value()) << "response " << i << " missing";
+    responses.push_back(parse_response(*line));
+  }
+  EXPECT_TRUE(responses[0].ok) << responses[0].error;
+  EXPECT_EQ(responses[0].meta.id, "q0");
+  EXPECT_FALSE(responses[1].ok);
+  EXPECT_EQ(responses[1].error_stage, "request-parse");
+  EXPECT_NE(responses[1].error.find("exceeds"), std::string::npos)
+      << responses[1].error;
+  EXPECT_TRUE(responses[2].ok) << responses[2].error;
+  EXPECT_EQ(responses[2].meta.id, "q2");
+  EXPECT_FALSE(daemon.read_line().has_value());
+  EXPECT_EQ(daemon.wait(), 0);
+}
+
 TEST(Cryosocd, BadNumericFlagsAreUsageErrors) {
   const std::vector<std::vector<std::string>> bad = {
       {"--window", "-1"},         {"--window", "0"},

@@ -135,11 +135,6 @@ TEST(InterpLibrary, AnchorTemperatureReproducesTheAnchor) {
   EXPECT_EQ(got.name, "exact");
   const auto delta = compare_libraries(make_anchor(300.0), got);
   EXPECT_EQ(delta.max_rel, 0.0) << "worst table: " << delta.worst_table;
-
-  EXPECT_TRUE(interp.is_anchor(300.0));
-  // Wire-format round-trip noise (%.6g) still matches the anchor.
-  EXPECT_TRUE(interp.is_anchor(300.0 * (1.0 + 4e-6)));
-  EXPECT_FALSE(interp.is_anchor(200.0));
   EXPECT_EQ(interp.anchor_count(), 2u);
   EXPECT_DOUBLE_EQ(interp.vdd(), 0.7);
 }
@@ -293,6 +288,33 @@ TEST(FlowInterp, RejectsBadAnchorConfig) {
   core::FlowConfig descending;
   descending.interp_anchor_temps = {300.0, 150.0};
   EXPECT_THROW(core::CryoSocFlow{descending}, FlowError);
+}
+
+TEST(FlowInterp, AnchorsTheArtifactCannotTellApartFailColdAndWarm) {
+  // 150.0001 K prints as "150" in its artifact, so its library records
+  // 150 K, as the 150 K anchor's does: the two are not ascending, in the
+  // flow that characterizes them and in one that loads their artifacts.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "cryosoc_interp_twins";
+  fs::remove_all(dir);
+  auto config = tiny_interp_config(dir.string());
+  config.interp_anchor_temps = {150.0, 150.0001, 300.0};
+  auto& runs = obs::registry().counter("charlib.runs");
+  for (const std::uint64_t characterizations : {3u, 0u}) {
+    const auto runs0 = runs.value();
+    core::CryoSocFlow flow(config);
+    try {
+      flow.library(flow.corner(200.0));
+      ADD_FAILURE() << "anchors 150 K and 150.0001 K must not interpolate";
+    } catch (const FlowError& e) {
+      EXPECT_EQ(e.stage(), "interp");
+      EXPECT_NE(std::string(e.what()).find("strictly ascending"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(runs.value() - runs0, characterizations);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(FlowInterp, DenseSweepCharacterizesOnlyAnchors) {

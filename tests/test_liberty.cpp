@@ -12,21 +12,25 @@
 namespace cryo::liberty {
 namespace {
 
+// A small library straight from the characterizer: INV, NAND2 and DFF at
+// drives 1 and 2 on a 3x3 grid.
+charlib::Library characterize_mini(double temperature) {
+  charlib::CharOptions opt;
+  opt.temperature = temperature;
+  opt.slews = {2e-12, 8e-12, 32e-12};
+  opt.loads = {0.5e-15, 2e-15, 8e-15};
+  charlib::Characterizer ch(device::golden_nmos(), device::golden_pmos(),
+                            opt);
+  cells::CatalogOptions copt;
+  copt.only_bases = {"INV", "NAND2", "DFF"};
+  copt.drives = {1, 2};
+  copt.include_slvt = false;
+  return ch.characterize_all(cells::standard_cells(copt), "roundtrip");
+}
+
 // One shared mini-library characterized once for all round-trip tests.
 const charlib::Library& mini_library() {
-  static const charlib::Library lib = [] {
-    charlib::CharOptions opt;
-    opt.temperature = 300.0;
-    opt.slews = {2e-12, 8e-12, 32e-12};
-    opt.loads = {0.5e-15, 2e-15, 8e-15};
-    charlib::Characterizer ch(device::golden_nmos(), device::golden_pmos(),
-                              opt);
-    cells::CatalogOptions copt;
-    copt.only_bases = {"INV", "NAND2", "DFF"};
-    copt.drives = {1, 2};
-    copt.include_slvt = false;
-    return ch.characterize_all(cells::standard_cells(copt), "roundtrip");
-  }();
+  static const charlib::Library lib = characterize_mini(300.0);
   return lib;
 }
 
@@ -192,6 +196,33 @@ TEST(Liberty, CommittedLibrariesRewriteByteForByte) {
     ASSERT_GT(text.size(), 1000000u) << file;
     // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print 3 MB twice.
     EXPECT_TRUE(write(read_file(dir + file)) == text) << file;
+  }
+}
+
+// A characterized library rounded to its artifact's numbers holds the
+// bits its artifact reads back as, and still writes the same bytes.
+TEST(Liberty, RoundedLibraryHoldsItsArtifactsNumbers) {
+  const charlib::Library cold = characterize_mini(143.7);
+  for (const charlib::Library* raw : {&mini_library(), &cold}) {
+    const std::string text = write(*raw);
+    charlib::Library rounded = *raw;
+    round_to_artifact(rounded);
+    EXPECT_EQ(LibraryBits(rounded).hash(), LibraryBits(parse(text)).hash())
+        << raw->temperature;
+    // Not vacuous: the characterizer's own numbers read back differently.
+    EXPECT_NE(LibraryBits(*raw).hash(), LibraryBits(rounded).hash())
+        << raw->temperature;
+    EXPECT_TRUE(write(rounded) == text) << raw->temperature;
+  }
+}
+
+TEST(Liberty, RoundingACommittedLibraryChangesNothing) {
+  const std::string dir = core::default_lib_dir();
+  for (const char* file : {"/cryo5_300k.lib", "/cryo5_10k.lib"}) {
+    charlib::Library lib = read_file(dir + file);
+    const std::uint64_t before = LibraryBits(lib).hash();
+    round_to_artifact(lib);
+    EXPECT_EQ(LibraryBits(lib).hash(), before) << file;
   }
 }
 

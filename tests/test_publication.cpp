@@ -7,8 +7,9 @@
 // characterizes a corner nobody has characterized in its directory.
 //
 // Payloads are compared with a flow that built the corner through
-// library() before any query, at the same corner and in memory: a flow
-// that reloaded the artifact would see the %.6g-rounded values instead.
+// library() before any query. A flow that loads the artifact that flow
+// wrote must answer byte for byte alike, because a characterized library
+// holds exactly its artifact's numbers.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -81,18 +82,41 @@ std::string payload(const FlowResponse& response) {
 }
 
 struct Payloads {
-  std::string timing, power, leakage;
+  std::string timing, power, measured_power, leakage, sram, sweep;
 };
 
-// Timing, power at the corner's fmax, then leakage (which waits for the
-// full library).
+// A made-up toggle and glitch count for every net of the netlist.
+FlowRequest measured_power_request(CryoSocFlow& flow) {
+  FlowRequest request;
+  request.kind = QueryKind::kMeasuredPower;
+  request.corner = kCold;
+  request.activity.cycles = 1000;
+  for (std::size_t net = 0; net < flow.soc().net_count(); ++net) {
+    request.activity.net_toggles.push_back(net * 37 % 11);
+    request.activity.net_glitches.push_back(net % 7 == 0);
+  }
+  return request;
+}
+
+// Timing, power at the corner's fmax and from measured activity, which
+// may answer from a partial library; then leakage, which waits for the
+// full one, the SRAM model and a sweep over the corner and 300 K.
 Payloads serve_payloads(CryoSocFlow& flow) {
   power::ActivityProfile profile;
   profile.default_activity = 0.1;
+  SweepQuery sweep;
+  sweep.corners = {kCold, flow.corner(300.0)};
+  sweep.run_timing = true;
+  sweep.run_power = true;
+  sweep.run_leakage = true;
+  sweep.profile = profile;
   Payloads p;
   p.timing = payload(execute(flow, timing_request(kCold)));
   p.power = payload(execute(flow, power_request(kCold, profile)));
+  p.measured_power = payload(execute(flow, measured_power_request(flow)));
   p.leakage = payload(execute(flow, leakage_request(kCold)));
+  p.sram = payload(execute(flow, sram_request(kCold, {256, 32})));
+  p.sweep = payload(execute(flow, sweep_request(sweep)));
   return p;
 }
 
@@ -117,7 +141,10 @@ void expect_reference(const Payloads& got) {
   const Payloads& want = reference().payloads;
   EXPECT_EQ(got.timing, want.timing);
   EXPECT_EQ(got.power, want.power);
+  EXPECT_EQ(got.measured_power, want.measured_power);
   EXPECT_EQ(got.leakage, want.leakage);
+  EXPECT_EQ(got.sram, want.sram);
+  EXPECT_EQ(got.sweep, want.sweep);
 }
 
 void check_partial_then_full(int threads) {
@@ -216,6 +243,16 @@ TEST(Publication, PartialThenFullPayloadsMatchALibraryFirstFlowOneThread) {
 
 TEST(Publication, PartialThenFullPayloadsMatchALibraryFirstFlowFourThreads) {
   check_partial_then_full(4);
+}
+
+TEST(Publication, ReloadedArtifactAnswersLikeTheFlowThatCharacterizedIt) {
+  // A second flow over the reference store loads the 77 K artifact the
+  // reference flow wrote, instead of characterizing.
+  const Reference& ref = reference();
+  CryoSocFlow flow(soc_config(ref.dir, 4));
+  const auto runs = counter("charlib.runs");
+  expect_reference(serve_payloads(flow));
+  EXPECT_EQ(counter("charlib.runs") - runs, 0u);
 }
 
 TEST(Publication, DestroyingTheFlowAfterAPartialAnswerWritesTheArtifact) {

@@ -229,6 +229,39 @@ TEST(ServeWire, ParseRejectsMalformedRequests) {
   for (const char* cycles : {"1.5", "1e3", "-1", "18446744073709551616"})
     EXPECT_EQ(stage_of(measured(cycles)), "request-parse") << cycles;
   EXPECT_EQ(stage_of(measured("18446744073709551615")), "no-throw");
+
+  // A container of the wrong type is an error, not an empty default: a
+  // sweep grid, profile, rate map or activity array that is not an array
+  // or object.
+  const std::string measured_at =
+      R"({"schema":"cryosoc-req-v1","kind":"measured_power","corner":)"
+      R"({"vdd":0.7,"temperature_k":300},"activity":{"cycles":1,)"
+      R"("events":0,"glitches":0)";
+  for (const std::string& line : std::vector<std::string>{
+           R"({"schema":"cryosoc-req-v1","kind":"sweep","sweep":{"corners":{}}})",
+           R"({"schema":"cryosoc-req-v1","kind":"sweep","sweep":{"corners":7}})",
+           sweep_with(R"(,"profile":7)"), power("7"), power("[]"),
+           power(R"({"unit_activity":[0.5]})"),
+           power(R"({"sram_reads_per_cycle":7})"),
+           power(R"({"sram_writes_per_cycle":"l1d"})"),
+           measured_at + R"(,"net_toggles":7}})",
+           measured_at + R"(,"net_glitches":{}}})",
+           measured_at + R"(,"sram_reads_per_cycle":[1]}})"})
+    EXPECT_EQ(stage_of(line), "request-parse") << line;
+  EXPECT_EQ(stage_of(measured_at + R"(,"net_toggles":[7],"net_glitches":[]}})"),
+            "no-throw");
+
+  // A sweep names at most kMaxSweepCorners corners.
+  const auto grid = [](std::size_t corners) {
+    std::string line =
+        R"({"schema":"cryosoc-req-v1","kind":"sweep","sweep":{"corners":[)";
+    for (std::size_t i = 0; i < corners; ++i)
+      line += std::string(i ? "," : "") +
+              R"({"vdd":0.7,"temperature_k":)" + std::to_string(10 + i) + "}";
+    return line + "]}}";
+  };
+  EXPECT_EQ(stage_of(grid(kMaxSweepCorners)), "no-throw");
+  EXPECT_EQ(stage_of(grid(kMaxSweepCorners + 1)), "request-parse");
 }
 
 TEST(ServeWire, ResponseRoundTripsByteIdenticallyForEveryKind) {
@@ -413,9 +446,7 @@ TEST(ServeService, ConcurrentSameCornerStormCoalescesToOneExecution) {
   EXPECT_FALSE(fs::exists(dir / "cryo5_300k.lib"));
 
   // Every storm response is byte-identical to a direct flow call against
-  // the same corner state. (A *fresh* flow would reload the Liberty
-  // artifact, whose %.6g rendering rounds low-order bits — cold vs warm
-  // equality is the artifact format's contract, not the service's.)
+  // the same corner state.
   const FlowResponse direct = execute(flow, leakage_request(storm_corner));
   ASSERT_TRUE(direct.ok) << direct.error;
   const std::string expected = response_payload_json(direct).dump(0);
@@ -510,13 +541,8 @@ TEST(ServeService, ResponsesMatchDirectFlowAtAnyWorkerCount) {
   sweep.run_leakage = true;
   requests.push_back(sweep_request(sweep));
 
-  // Warm the scratch artifact store first so the reference flow and every
-  // service flow all load the same on-disk Liberty artifacts (a cold flow
-  // would answer from the unrounded in-memory characterization).
-  {
-    CryoSocFlow warmup(tiny_config(dir.string()));
-    for (const FlowRequest& request : requests) execute(warmup, request);
-  }
+  // The reference flow characterizes every corner into the scratch store;
+  // the service flows load its artifacts.
   std::vector<std::string> expected;
   {
     CryoSocFlow flow(tiny_config(dir.string()));

