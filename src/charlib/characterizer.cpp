@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -76,6 +75,13 @@ obs::Counter& engine_reuse_counter() {
   return c;
 }
 
+// The clock of sequential stimuli: a warm-up pulse (2 ps edges at
+// kClockWarmup and kClockWarmupFall) captures the opposite value, and the
+// edge at kClockEdge the measured one.
+constexpr double kClockWarmup = 10e-12;
+constexpr double kClockWarmupFall = 90e-12;
+constexpr double kClockEdge = 220e-12;
+
 }  // namespace
 
 std::vector<std::string> leakage_pattern_pins(const cells::CellDef& cell) {
@@ -102,6 +108,9 @@ struct Characterizer::ArcBatch {
   std::uint32_t pat_final = 0;   // ... and after it completes
   std::uint64_t solves = 0;      // transients replayed on this engine
   std::optional<spice::Engine> engine;  // references `circuit`; built last
+  // The stimulus prefix the grid points share (see init_*_batch); relaxed
+  // retries run without it.
+  spice::TranCheckpoint checkpoint;
 };
 
 Characterizer::Characterizer(device::ModelCard nmos, device::ModelCard pmos,
@@ -280,6 +289,9 @@ void Characterizer::init_arc_batch(ArcBatch& batch,
   // positive at construction, so it is always present).
   batch.load_cap = batch.circuit.capacitors().size() - 1;
   batch.engine.emplace(batch.circuit, &ctx);
+  // Neither slew nor load reaches the DC state: every grid point resumes
+  // from one checkpoint at t = 0.
+  batch.checkpoint = spice::TranCheckpoint(0.0);
 }
 
 Characterizer::ArcPoint Characterizer::simulate_arc_point(
@@ -308,7 +320,8 @@ Characterizer::ArcPoint Characterizer::simulate_arc_point(
     tran.t_stop = start + ramp + settle;
     tran.dt_max = 6e-12;
     if (relaxed) tran = relax(tran);
-    const spice::TranResult result = engine.transient(tran);
+    const spice::TranResult result =
+        engine.transient(tran, relaxed ? nullptr : &batch.checkpoint);
     ++batch.solves;
     const spice::Trace out = result.node(arc.output);
 
@@ -358,6 +371,10 @@ void Characterizer::init_clk_batch(ArcBatch& batch,
   batch.drive_source = batch.circuit.vsource_index("v_" + cell.clock);
   batch.load_cap = batch.circuit.capacitors().size() - 1;
   batch.engine.emplace(batch.circuit, &ctx);
+  // Up to the measured edge the stimulus is the same at every slew, so at
+  // one load the slews resume from the state there (characterize_arc
+  // walks a clock arc's grid load-major).
+  batch.checkpoint = spice::TranCheckpoint(kClockEdge);
 }
 
 Characterizer::ArcPoint Characterizer::simulate_clk_point(
@@ -365,17 +382,15 @@ Characterizer::ArcPoint Characterizer::simulate_clk_point(
     double slew, double load, bool relaxed) const {
   const double vdd = options_.vdd;
   const double ramp = ramp_of(slew);
-  const double e1 = 10e-12;
-  const double fall1 = 90e-12;
-  const double e2 = 220e-12;
+  const double e2 = kClockEdge;
   const double d_switch = 150e-12;
   batch.circuit.set_vsource_wave(
       batch.drive_source,
       spice::Waveform::pwl({{0.0, 0.0},
-                            {e1, 0.0},
-                            {e1 + 2e-12, vdd},
-                            {fall1, vdd},
-                            {fall1 + 2e-12, 0.0},
+                            {kClockWarmup, 0.0},
+                            {kClockWarmup + 2e-12, vdd},
+                            {kClockWarmupFall, vdd},
+                            {kClockWarmupFall + 2e-12, 0.0},
                             {e2, 0.0},
                             {e2 + ramp, vdd}}));
   batch.circuit.set_capacitor_farads(batch.load_cap, load);
@@ -389,7 +404,8 @@ Characterizer::ArcPoint Characterizer::simulate_clk_point(
     tran.t_stop = e2 + ramp + settle;
     tran.dt_max = 6e-12;
     if (relaxed) tran = relax(tran);
-    const spice::TranResult result = engine.transient(tran);
+    const spice::TranResult result =
+        engine.transient(tran, relaxed ? nullptr : &batch.checkpoint);
     ++batch.solves;
     const spice::Trace q = result.node(arc.output);
 
@@ -463,36 +479,41 @@ Characterizer::ArcOutcome Characterizer::characterize_arc(
   else
     init_arc_batch(batch, cell, arc, ctx);
 
+  // A clock arc walks its grid load-major, so its one checkpoint serves
+  // the slews of a load in a row. Each point's result depends on its own
+  // stimulus only, so the order moves no number.
+  const std::size_t slews = options_.slews.size();
+  const std::size_t loads = options_.loads.size();
   bool arc_ok = true;
-  for (std::size_t i = 0; arc_ok && i < options_.slews.size(); ++i) {
-    for (std::size_t j = 0; arc_ok && j < options_.loads.size(); ++j) {
-      const auto point = [&](bool relaxed) {
-        return clk_arc
-                   ? simulate_clk_point(batch, cell, arc, options_.slews[i],
-                                        options_.loads[j], relaxed)
-                   : simulate_arc_point(batch, cell, arc, options_.slews[i],
-                                        options_.loads[j], leakage, relaxed);
-      };
-      // Grid points that fail at the default solver settings get one
-      // relaxed retry; an arc whose point still fails is quarantined
-      // as a whole (a partially-filled NLDM table would interpolate
-      // garbage) and the run continues with the remaining arcs.
-      ArcPoint p;
+  for (std::size_t k = 0; arc_ok && k < slews * loads; ++k) {
+    const std::size_t i = clk_arc ? k % slews : k / loads;
+    const std::size_t j = clk_arc ? k / slews : k % loads;
+    const auto point = [&](bool relaxed) {
+      return clk_arc
+                 ? simulate_clk_point(batch, cell, arc, options_.slews[i],
+                                      options_.loads[j], relaxed)
+                 : simulate_arc_point(batch, cell, arc, options_.slews[i],
+                                      options_.loads[j], leakage, relaxed);
+    };
+    // Grid points that fail at the default solver settings get one
+    // relaxed retry; an arc whose point still fails is quarantined as a
+    // whole (a partially-filled NLDM table would interpolate garbage) and
+    // the run continues with the remaining arcs.
+    ArcPoint p;
+    try {
+      p = point(false);
+    } catch (const std::runtime_error&) {
+      arc_retries.add(1);
       try {
-        p = point(false);
+        p = point(true);
       } catch (const std::runtime_error&) {
-        arc_retries.add(1);
-        try {
-          p = point(true);
-        } catch (const std::runtime_error&) {
-          arc_ok = false;
-          break;
-        }
+        arc_ok = false;
+        break;
       }
-      out.tables.delay.at(i, j) = p.delay;
-      out.tables.output_slew.at(i, j) = p.output_slew;
-      out.tables.energy.at(i, j) = p.energy;
     }
+    out.tables.delay.at(i, j) = p.delay;
+    out.tables.output_slew.at(i, j) = p.output_slew;
+    out.tables.energy.at(i, j) = p.energy;
   }
   if (batch.solves > 1) engine_reuse_counter().add(batch.solves - 1);
   if (!arc_ok) {
@@ -504,106 +525,111 @@ Characterizer::ArcOutcome Characterizer::characterize_arc(
   return out;
 }
 
-namespace {
+// The setup/hold bisection's bench: one circuit and engine for every
+// capture experiment, which rewrite only D's waveform. The clock captures
+// !target with its warm-up pulse and target at kClockEdge. Pinned to one
+// stack frame, like ArcBatch, since the engine references the circuit.
+struct Characterizer::CaptureBench {
+  CaptureBench() = default;
+  CaptureBench(const CaptureBench&) = delete;
+  CaptureBench& operator=(const CaptureBench&) = delete;
 
-// One capture experiment for setup/hold bisection: D moves to `target` at
-// time t_d (absolute); returns true if Q ends at the target value.
-bool capture_ok(spice::SolveContext& ctx,
-                const std::function<spice::Circuit(
-                    const std::vector<std::pair<std::string,
-                                                spice::Waveform>>&)>& build,
-                double vdd, bool target, double t_d, double t_d_away,
-                double edge, double t_stop) {
-  std::vector<std::pair<std::string, spice::Waveform>> drives;
-  const double e1 = 10e-12, fall1 = 90e-12;
-  drives.emplace_back("CLK", spice::Waveform::pwl({{0.0, 0.0},
-                                                        {e1, 0.0},
-                                                        {e1 + 2e-12, vdd},
-                                                        {fall1, vdd},
-                                                        {fall1 + 2e-12, 0.0},
-                                                        {edge, 0.0},
-                                                        {edge + 4e-12, vdd}}));
-  const double v_t = target ? vdd : 0.0;
-  const double v_n = target ? 0.0 : vdd;
-  std::vector<std::pair<double, double>> dw = {{0.0, v_n},
-                                               {t_d, v_n},
-                                               {t_d + 2e-12, v_t}};
-  if (t_d_away > t_d) {
-    dw.push_back({t_d_away, v_t});
-    dw.push_back({t_d_away + 2e-12, v_n});
-  }
-  drives.emplace_back("D", spice::Waveform::pwl(std::move(dw)));
+  spice::Circuit circuit;
+  std::size_t d_source = 0;
+  std::uint64_t solves = 0;
+  std::optional<spice::Engine> engine;  // references `circuit`; built last
+  // At the last breakpoint every capture of one bisection shares.
+  spice::TranCheckpoint checkpoint;
 
-  spice::Circuit circuit = build(drives);
-  spice::Engine engine(circuit, &ctx);
-  spice::TranOptions tran;
-  tran.t_stop = t_stop;
-  tran.dt_max = 6e-12;
-  const auto result = engine.transient(tran);
-  const double v_q = result.node("Q").value.back();
-  return target ? v_q > 0.9 * vdd : v_q < 0.1 * vdd;
-}
-
-}  // namespace
-
-double Characterizer::find_setup(const cells::CellDef& cell,
-                                 spice::SolveContext& ctx) const {
-  // Smallest D-before-clock offset that still captures, worst of both
-  // data polarities.
-  const auto build = [&](const std::vector<
-                         std::pair<std::string, spice::Waveform>>& drives) {
-    return cell_circuit(cell, drives, "Q", 1e-15);
-  };
-  const double edge = 220e-12;
-  const double t_stop = edge + 250e-12;
-  double worst = 0.0;
-  for (bool target : {false, true}) {
-    double pass = 80e-12;  // D this early definitely captures
-    double fail = 0.0;     // D at the edge definitely misses
-    if (!capture_ok(ctx, build, options_.vdd,
-                    target, edge - pass, -1.0, edge, t_stop))
-      return 80e-12;  // pathological; report the full window
-    for (int i = 0; i < 10; ++i) {
-      const double mid = 0.5 * (pass + fail);
-      if (capture_ok(ctx, build, options_.vdd,
-                     target, edge - mid, -1.0, edge, t_stop))
-        pass = mid;
-      else
-        fail = mid;
+  // D moves to `target` at t_d (absolute) and, when t_d_away is later,
+  // back at t_d_away; true if Q ends at the target value.
+  bool capture_ok(double vdd, bool target, double t_d, double t_d_away) {
+    const double v_t = target ? vdd : 0.0;
+    const double v_n = target ? 0.0 : vdd;
+    std::vector<std::pair<double, double>> dw = {{0.0, v_n},
+                                                 {t_d, v_n},
+                                                 {t_d + 2e-12, v_t}};
+    if (t_d_away > t_d) {
+      dw.push_back({t_d_away, v_t});
+      dw.push_back({t_d_away + 2e-12, v_n});
     }
-    worst = std::max(worst, pass);
+    circuit.set_vsource_wave(d_source, spice::Waveform::pwl(std::move(dw)));
+    spice::TranOptions tran;
+    tran.t_stop = kClockEdge + 250e-12;
+    tran.dt_max = 6e-12;
+    const auto result = engine->transient(tran, &checkpoint);
+    ++solves;
+    const double v_q = result.node("Q").value.back();
+    return target ? v_q > 0.9 * vdd : v_q < 0.1 * vdd;
   }
-  return worst;
-}
+};
 
-double Characterizer::find_hold(const cells::CellDef& cell,
-                                spice::SolveContext& ctx) const {
-  // Smallest D-stable-after-clock time: D moves to target well before the
-  // edge and moves away `offset` after it; capture must still succeed.
-  const auto build = [&](const std::vector<
-                         std::pair<std::string, spice::Waveform>>& drives) {
-    return cell_circuit(cell, drives, "Q", 1e-15);
-  };
-  const double edge = 220e-12;
-  const double t_stop = edge + 250e-12;
-  double worst = -20e-12;
-  for (bool target : {false, true}) {
-    double pass = 60e-12;
-    double fail = -20e-12;
-    if (!capture_ok(ctx, build, options_.vdd,
-                    target, edge - 100e-12, edge + pass, edge, t_stop))
-      return 60e-12;
-    for (int i = 0; i < 10; ++i) {
-      const double mid = 0.5 * (pass + fail);
-      if (capture_ok(ctx, build, options_.vdd,
-                     target, edge - 100e-12, edge + mid, edge, t_stop))
-        pass = mid;
-      else
-        fail = mid;
+std::pair<double, double> Characterizer::find_setup_hold(
+    const cells::CellDef& cell, spice::SolveContext& ctx) const {
+  const double vdd = options_.vdd;
+  const double edge = kClockEdge;
+  CaptureBench bench;
+  const auto clock = spice::Waveform::pwl({{0.0, 0.0},
+                                           {kClockWarmup, 0.0},
+                                           {kClockWarmup + 2e-12, vdd},
+                                           {kClockWarmupFall, vdd},
+                                           {kClockWarmupFall + 2e-12, 0.0},
+                                           {edge, 0.0},
+                                           {edge + 4e-12, vdd}});
+  bench.circuit = cell_circuit(
+      cell, {{"CLK", clock}, {"D", spice::Waveform::dc(0.0)}}, "Q", 1e-15);
+  bench.d_source = bench.circuit.vsource_index("v_D");
+  bench.engine.emplace(bench.circuit, &ctx);
+
+  // Setup: the smallest D-before-clock offset that still captures, worst
+  // of both data polarities. D moves at or after edge - 80 ps, so the
+  // captures share the clock's warm-up pulse.
+  const auto setup = [&] {
+    bench.checkpoint = spice::TranCheckpoint(kClockWarmupFall + 2e-12);
+    double worst = 0.0;
+    for (bool target : {false, true}) {
+      double pass = 80e-12;  // D this early definitely captures
+      double fail = 0.0;     // D at the edge definitely misses
+      if (!bench.capture_ok(vdd, target, edge - pass, -1.0))
+        return 80e-12;  // pathological; report the full window
+      for (int i = 0; i < 10; ++i) {
+        const double mid = 0.5 * (pass + fail);
+        if (bench.capture_ok(vdd, target, edge - mid, -1.0))
+          pass = mid;
+        else
+          fail = mid;
+      }
+      worst = std::max(worst, pass);
     }
-    worst = std::max(worst, pass);
-  }
-  return worst;
+    return worst;
+  };
+  // Hold: the smallest D-stable-after-clock time. D arrives at edge - 100
+  // ps and leaves again at edge + offset, the offset bisected in (-20, 60]
+  // ps; capture must still succeed. The captures share everything up to
+  // D's arrival.
+  const auto hold = [&] {
+    const double t_d = edge - 100e-12;
+    bench.checkpoint = spice::TranCheckpoint(t_d + 2e-12);
+    double worst = -20e-12;
+    for (bool target : {false, true}) {
+      double pass = 60e-12;
+      double fail = -20e-12;
+      if (!bench.capture_ok(vdd, target, t_d, edge + pass)) return 60e-12;
+      for (int i = 0; i < 10; ++i) {
+        const double mid = 0.5 * (pass + fail);
+        if (bench.capture_ok(vdd, target, t_d, edge + mid))
+          pass = mid;
+        else
+          fail = mid;
+      }
+      worst = std::max(worst, pass);
+    }
+    return worst;
+  };
+  const double setup_time = setup();
+  const double hold_time = hold();
+  engine_reuse_counter().add(bench.solves - 1);
+  return {setup_time, hold_time};
 }
 
 void Characterizer::prep_cell(const cells::CellDef& cell, CellChar& out,
@@ -656,10 +682,8 @@ CellChar Characterizer::characterize(const cells::CellDef& cell) const {
       out.failed_arcs.push_back(arc_label(cell, arc));
   }
 
-  if (cell.sequential && options_.characterize_setup_hold && !cell.is_latch) {
-    out.setup_time = find_setup(cell, ctx);
-    out.hold_time = find_hold(cell, ctx);
-  }
+  if (cell.sequential && options_.characterize_setup_hold && !cell.is_latch)
+    std::tie(out.setup_time, out.hold_time) = find_setup_hold(cell, ctx);
   cells_counter.add(1);
   cell_seconds.observe(std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t_start)
@@ -810,8 +834,8 @@ Library Characterizer::characterize_all(
         {
           const auto ctx = checkout();
           if (unit.setup_hold) {
-            results[u].setup = find_setup(cell, *ctx);
-            results[u].hold = find_hold(cell, *ctx);
+            std::tie(results[u].setup, results[u].hold) =
+                find_setup_hold(cell, *ctx);
           } else {
             results[u].arc = characterize_arc(
                 cell, cell.arcs[unit.arc], lib.cells[unit.cell].leakage,

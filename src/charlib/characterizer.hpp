@@ -17,7 +17,9 @@
 // once and replays the whole grid by swapping the stimulus waveform and
 // load capacitance in place, so the MNA skeleton, stamp-slot lists, and
 // solver workspaces are constructed once per (cell, arc) instead of once
-// per grid point. Results merge in (cell, arc declaration) order, so the
+// per grid point; grid points (and setup/hold captures) that share a
+// stimulus prefix resume from one spice::TranCheckpoint instead of
+// simulating it again. Results merge in (cell, arc declaration) order, so the
 // library — and every Liberty artifact rendered from it — is
 // byte-identical at any thread count.
 //
@@ -35,6 +37,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cells/celldef.hpp"
@@ -175,10 +178,12 @@ class Characterizer {
 
   std::vector<LeakageState> measure_leakage(const cells::CellDef& cell,
                                             spice::SolveContext& ctx) const;
-  double find_setup(const cells::CellDef& cell,
-                    spice::SolveContext& ctx) const;
-  double find_hold(const cells::CellDef& cell,
-                   spice::SolveContext& ctx) const;
+  // A flip-flop's (setup, hold) constraints, each the worst of both data
+  // polarities, found by bisection over capture experiments on one
+  // circuit and engine (a CaptureBench, defined in the .cpp).
+  struct CaptureBench;
+  std::pair<double, double> find_setup_hold(const cells::CellDef& cell,
+                                            spice::SolveContext& ctx) const;
 
   device::ModelCard nmos_;
   device::ModelCard pmos_;

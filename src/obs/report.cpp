@@ -92,6 +92,9 @@ void Json::dump_into(std::string& out, int indent) const {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += bool_ ? "true" : "false"; break;
     case Kind::kInt: out += std::to_string(int_); break;
+    case Kind::kUint:
+      out += std::to_string(static_cast<unsigned long long>(int_));
+      break;
     case Kind::kDouble: {
       // NaN and infinities have no JSON spelling; null keeps the document
       // parseable.

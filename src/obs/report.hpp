@@ -49,10 +49,12 @@ class Json {
   Json(int v) : kind_(Kind::kInt), int_(v) {}
   Json(long v) : kind_(Kind::kInt), int_(v) {}
   Json(long long v) : kind_(Kind::kInt), int_(v) {}
-  Json(unsigned v) : kind_(Kind::kInt), int_(v) {}
-  Json(unsigned long v) : kind_(Kind::kInt), int_(static_cast<long long>(v)) {}
+  // Unsigned values keep their own kind (in int_'s bits), so a count of
+  // 2^63 or more renders exactly instead of wrapping negative.
+  Json(unsigned v) : kind_(Kind::kUint), int_(v) {}
+  Json(unsigned long v) : kind_(Kind::kUint), int_(static_cast<long long>(v)) {}
   Json(unsigned long long v)
-      : kind_(Kind::kInt), int_(static_cast<long long>(v)) {}
+      : kind_(Kind::kUint), int_(static_cast<long long>(v)) {}
   Json(const char* v) : kind_(Kind::kString), str_(v) {}
   Json(std::string v) : kind_(Kind::kString), str_(std::move(v)) {}
 
@@ -76,8 +78,8 @@ class Json {
   std::string dump_line() const;
 
  private:
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject,
-                    kRaw };
+  enum class Kind { kNull, kBool, kInt, kUint, kDouble, kString, kArray,
+                    kObject, kRaw };
   void dump_into(std::string& out, int indent) const;
 
   Kind kind_;

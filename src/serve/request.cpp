@@ -280,7 +280,8 @@ sta::TimingReport timing_from_json(const JsonValue& v) {
       v.at("endpoint_count", "timing").as_uint("timing.endpoint_count"));
   timing.critical_endpoint = string_or(v, "critical_endpoint");
   if (const JsonValue* path = v.find("critical_path")) {
-    for (const JsonValue& s : path->items) {
+    for (const JsonValue& s : path->as_array("timing.critical_path")) {
+      s.as_object("timing.critical_path");
       sta::PathStep step;
       step.instance = string_or(s, "instance");
       step.cell = string_or(s, "cell");
@@ -396,7 +397,8 @@ SweepOutcome sweep_outcome_from_json(const JsonValue& v) {
   SweepOutcome outcome;
   outcome.failed = static_cast<std::size_t>(
       v.at("failed", "sweep").as_uint("sweep.failed"));
-  for (const JsonValue& c : v.at("corners", "sweep").items) {
+  for (const JsonValue& c :
+       v.at("corners", "sweep").as_array("sweep.corners")) {
     SweepCornerResult r;
     r.corner = corner_from_json(c.at("corner", "sweep.corners"));
     r.ok = c.at("ok", "sweep.corners").as_bool("sweep.corners.ok");
@@ -417,7 +419,7 @@ SweepOutcome sweep_outcome_from_json(const JsonValue& v) {
     outcome.worst_corner =
         static_cast<std::size_t>(w->as_uint("sweep.worst_corner"));
   if (const JsonValue* curve = v.find("fmax_vs_temperature")) {
-    for (const JsonValue& pt : curve->items)
+    for (const JsonValue& pt : curve->as_array("sweep.fmax_vs_temperature"))
       outcome.fmax_vs_temperature.emplace_back(
           pt.at("temperature_k", "sweep.curve").as_number("temperature_k"),
           pt.at("fmax_hz", "sweep.curve").as_number("fmax_hz"));
@@ -428,7 +430,7 @@ SweepOutcome sweep_outcome_from_json(const JsonValue& v) {
     const auto parsed =
         cooling_verdict_from_name(verdict->as_string("sweep.cooling_verdict"));
     if (!parsed)
-      throw core::FlowError("request-parse", "",
+      throw core::FlowError("response-parse", "",
                             "sweep.cooling_verdict: unknown verdict \"" +
                                 verdict->as_string("sweep.cooling_verdict") +
                                 "\"");
@@ -679,65 +681,67 @@ obs::Json to_json(const FlowResponse& response) {
 }
 
 FlowResponse parse_response(const std::string& text) {
-  JsonValue doc;
-  try {
-    doc = json_parse(text);
-  } catch (const core::FlowError& e) {
-    throw core::FlowError("response-parse", "", e.detail());
-  }
-  if (!doc.is_object())
-    throw core::FlowError("response-parse", "", "response must be an object");
-  const std::string schema = string_or(doc, "schema");
-  if (schema != "cryosoc-resp-v1")
-    throw core::FlowError("response-parse", "",
-                          "unsupported schema '" + schema +
-                              "' (expected cryosoc-resp-v1)");
   FlowResponse response;
-  const std::string kind_text =
-      doc.at("kind", "response").as_string("response.kind");
-  const auto kind = kind_from_name(kind_text);
-  if (!kind)
-    throw core::FlowError("response-parse", "",
-                          "unknown response kind '" + kind_text + "'");
-  response.kind = *kind;
-  response.ok = doc.at("ok", "response").as_bool("response.ok");
-  if (const JsonValue* e = doc.find("error")) {
-    response.error_stage = string_or(*e, "stage");
-    response.error = string_or(*e, "detail");
-  }
-  if (const JsonValue* corner = doc.find("corner"))
-    response.corner = corner_from_json(*corner);
-  if (const JsonValue* result = doc.find("result")) {
-    if (const JsonValue* t = result->find("timing"))
-      response.timing = timing_from_json(*t);
-    if (const JsonValue* p = result->find("power"))
-      response.power = power_from_json(*p);
-    if (const JsonValue* l = result->find("library_leakage_w"))
-      response.library_leakage_w = l->as_number("result.library_leakage_w");
-    if (const JsonValue* s = result->find("sram"))
-      response.sram = sram_from_json(*s);
-    if (const JsonValue* sweep = result->find("sweep"))
-      response.sweep = sweep_outcome_from_json(*sweep);
-  }
-  if (const JsonValue* meta = doc.find("meta")) {
-    response.meta.id = string_or(*meta, "id");
-    if (const JsonValue* seq = meta->find("sequence"))
-      response.meta.sequence = seq->as_uint("meta.sequence");
-    if (const JsonValue* c = meta->find("coalesced"))
-      response.meta.coalesced = c->as_uint("meta.coalesced");
-    response.meta.queue_seconds = num_or(*meta, "queue_seconds", 0.0, "meta");
-    response.meta.service_seconds =
-        num_or(*meta, "service_seconds", 0.0, "meta");
-    if (const JsonValue* latency = meta->find("latency")) {
-      if (const JsonValue* n = latency->find("count"))
-        response.meta.kind_latency.count = n->as_uint("meta.latency.count");
-      response.meta.kind_latency.p50_s =
-          num_or(*latency, "p50_s", 0.0, "meta.latency");
-      response.meta.kind_latency.p95_s =
-          num_or(*latency, "p95_s", 0.0, "meta.latency");
-      response.meta.kind_latency.p99_s =
-          num_or(*latency, "p99_s", 0.0, "meta.latency");
+  try {
+    const JsonValue doc = json_parse(text);
+    if (!doc.is_object())
+      throw core::FlowError("response-parse", "",
+                            "response must be an object");
+    const std::string schema = string_or(doc, "schema");
+    if (schema != "cryosoc-resp-v1")
+      throw core::FlowError("response-parse", "",
+                            "unsupported schema '" + schema +
+                                "' (expected cryosoc-resp-v1)");
+    const std::string kind_text =
+        doc.at("kind", "response").as_string("response.kind");
+    const auto kind = kind_from_name(kind_text);
+    if (!kind)
+      throw core::FlowError("response-parse", "",
+                            "unknown response kind '" + kind_text + "'");
+    response.kind = *kind;
+    response.ok = doc.at("ok", "response").as_bool("response.ok");
+    if (const JsonValue* e = doc.find("error")) {
+      response.error_stage = string_or(*e, "stage");
+      response.error = string_or(*e, "detail");
     }
+    if (const JsonValue* corner = doc.find("corner"))
+      response.corner = corner_from_json(*corner);
+    if (const JsonValue* result = doc.find("result")) {
+      if (const JsonValue* t = result->find("timing"))
+        response.timing = timing_from_json(*t);
+      if (const JsonValue* p = result->find("power"))
+        response.power = power_from_json(*p);
+      if (const JsonValue* l = result->find("library_leakage_w"))
+        response.library_leakage_w = l->as_number("result.library_leakage_w");
+      if (const JsonValue* s = result->find("sram"))
+        response.sram = sram_from_json(*s);
+      if (const JsonValue* sweep = result->find("sweep"))
+        response.sweep = sweep_outcome_from_json(*sweep);
+    }
+    if (const JsonValue* meta = doc.find("meta")) {
+      response.meta.id = string_or(*meta, "id");
+      if (const JsonValue* seq = meta->find("sequence"))
+        response.meta.sequence = seq->as_uint("meta.sequence");
+      if (const JsonValue* c = meta->find("coalesced"))
+        response.meta.coalesced = c->as_uint("meta.coalesced");
+      response.meta.queue_seconds =
+          num_or(*meta, "queue_seconds", 0.0, "meta");
+      response.meta.service_seconds =
+          num_or(*meta, "service_seconds", 0.0, "meta");
+      if (const JsonValue* latency = meta->find("latency")) {
+        if (const JsonValue* n = latency->find("count"))
+          response.meta.kind_latency.count = n->as_uint("meta.latency.count");
+        response.meta.kind_latency.p50_s =
+            num_or(*latency, "p50_s", 0.0, "meta.latency");
+        response.meta.kind_latency.p95_s =
+            num_or(*latency, "p95_s", 0.0, "meta.latency");
+        response.meta.kind_latency.p99_s =
+            num_or(*latency, "p99_s", 0.0, "meta.latency");
+      }
+    }
+  } catch (const core::FlowError& e) {
+    // Every defect of the text, JSON syntax included, is one stage.
+    throw core::FlowError("response-parse", "", e.detail());
   }
   return response;
 }

@@ -47,14 +47,19 @@ bool eliminate(std::vector<double>& a, std::vector<double>& b, std::size_t n,
   return true;
 }
 
-// Stats and back-substitution after a successful elimination: b becomes x.
-void finish(const std::vector<double>& a, std::vector<double>& b,
-            std::size_t n, double min_ratio, LuStats* stats) {
+// The stats of a successful factorization.
+void report(double min_ratio, LuStats* stats) {
   if (stats != nullptr) {
     stats->min_pivot_ratio = min_ratio;
     stats->near_singular = min_ratio < kLuNearSingularRatio;
   }
-  for (std::size_t i = n; i-- > 0;) {
+}
+
+// The seed's back-substitution over rows [0, rows), last first: those
+// entries of b become x's (rows from `rows` on are x's already).
+void back_substitute(const std::vector<double>& a, std::vector<double>& b,
+                     std::size_t n, std::size_t rows) {
+  for (std::size_t i = rows; i-- > 0;) {
     double acc = b[i];
     for (std::size_t k = i + 1; k < n; ++k) acc -= a[i * n + k] * b[k];
     b[i] = acc / a[i * n + i];
@@ -89,7 +94,8 @@ bool lu_solve(std::vector<double>& a, std::vector<double>& b, std::size_t n,
 
   double min_ratio = 1.0;
   if (!eliminate(a, b, n, scale, 0, min_ratio, nullptr)) return false;
-  finish(a, b, n, min_ratio, stats);
+  report(min_ratio, stats);
+  back_substitute(a, b, n, n);
   return true;
 }
 
@@ -123,6 +129,7 @@ bool DenseLu::column_scales(const std::vector<double>& a,
     if (!(scale_[i] >= kGuardTiny)) return false;
     const double v = std::abs(b[i]);
     if (v != 0.0 && !(v >= kGuardTiny && v <= kGuardHuge)) return false;
+    if (v == 0.0 && std::signbit(b[i])) return false;  // -0
   }
   return true;
 }
@@ -212,7 +219,23 @@ bool DenseLu::factor_solve(std::vector<double>& a, std::vector<double>& b,
       return false;
     build();
   }
-  finish(a, b, n, min_ratio, stats);
+  report(min_ratio, stats);
+  // Back-substitution over each row's recorded upper columns, ascending.
+  // A skipped entry is +0 and the accumulator is never -0 (b holds no -0
+  // and a difference is -0 only from -0), so acc - 0 * x keeps acc's bits
+  // while x is finite. Once an entry of x is not, 0 * x is NaN, so the
+  // seed loop finishes the rows left.
+  std::size_t i = n;
+  while (i > 0) {
+    --i;
+    const double* u = &a[i * n];
+    double acc = b[i];
+    for (std::size_t k = at_[i].upper; k < at_[i + 1].upper; ++k)
+      acc -= u[upper_[k]] * b[upper_[k]];
+    b[i] = acc / u[i];
+    if (!std::isfinite(b[i])) break;
+  }
+  back_substitute(a, b, n, i);
   return true;
 }
 

@@ -25,9 +25,12 @@
 // only seed operations with a zero operand, a - f*0 or a row whose f is 0,
 // and with f and u finite those leave every entry unchanged. The input
 // guard keeps f finite: non-finite entries, a column scale or a non-zero
-// |b_i| outside [2^-900, 2^900], and systems over kMaxScheduledDim
-// unknowns, all take the seed loop. Back-substitution is the seed's dense
-// loop. Enabling FP contraction (-mfma, -march=native, -ffast-math) would
+// |b_i| outside [2^-900, 2^900], a -0 in b, and systems over
+// kMaxScheduledDim unknowns, all take the seed loop. Back-substitution
+// walks each row's recorded upper columns in ascending order; it skips
+// acc - 0*x terms, which leave acc unchanged while x is finite, and hands
+// the rows left to the seed's dense loop at the first non-finite entry of
+// x. Enabling FP contraction (-mfma, -march=native, -ffast-math) would
 // change bits in both kernels and in the committed artifacts.
 #pragma once
 

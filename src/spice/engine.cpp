@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -53,6 +54,11 @@ obs::Counter& transient_steps_counter() {
 obs::Counter& transient_rejected_counter() {
   static obs::Counter& c =
       obs::registry().counter("spice.transient_rejected_steps");
+  return c;
+}
+obs::Counter& transient_resumes_counter() {
+  static obs::Counter& c =
+      obs::registry().counter("spice.transient_resumes");
   return c;
 }
 obs::Counter& transient_retries_counter() {
@@ -115,6 +121,10 @@ obs::Counter& dense_schedules_counter() {
 std::uint64_t next_engine_id() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 std::string short_double(double v) {
@@ -863,45 +873,116 @@ TranResult Engine::transient_reference(const TranOptions& options) {
   return result;
 }
 
-TranResult Engine::transient(const TranOptions& options) {
-  if (reference_step_control_) return transient_reference(options);
-  OBS_SPAN("spice.transient");
+TranResult Engine::empty_result() const {
   std::vector<std::string> node_names(n_nodes_);
   for (std::size_t i = 0; i < n_nodes_; ++i)
     node_names[i] = circuit_.node_name(static_cast<NodeId>(i + 1));
   std::vector<std::string> source_names(n_sources_);
   for (std::size_t i = 0; i < n_sources_; ++i)
     source_names[i] = circuit_.vsources()[i].name;
-  TranResult result(std::move(node_names), std::move(source_names));
+  return TranResult(std::move(node_names), std::move(source_names));
+}
 
-  std::vector<double> x = dc_operating_point(0.0, options);
+bool Engine::resumable(const TranCheckpoint& checkpoint,
+                       const TranOptions& options) const {
+  const double at = checkpoint.at_;
+  const TranOptions& o = checkpoint.options_;
+  static_assert(sizeof(TranOptions) == 6 * sizeof(double) + 8,
+                "compare every TranOptions field below");
+  if (!checkpoint.taken_ || checkpoint.engine_ != engine_id_ ||
+      !(options.t_stop > at) || !same_bits(o.dt_max, options.dt_max) ||
+      !same_bits(o.dt_min, options.dt_min) ||
+      !same_bits(o.v_abstol, options.v_abstol) ||
+      !same_bits(o.i_abstol, options.i_abstol) ||
+      !same_bits(o.lte_tol, options.lte_tol) ||
+      o.max_nr_iterations != options.max_nr_iterations)
+    return false;
+  const auto& sources = circuit_.vsources();
+  if (checkpoint.waves_.size() != sources.size()) return false;
+  for (std::size_t i = 0; i < sources.size(); ++i)
+    if (!checkpoint.waves_[i].agrees_until(sources[i].wave, at)) return false;
+  const auto same_values = [](const std::vector<double>& recorded,
+                              const auto& elements, auto value) {
+    if (recorded.size() != elements.size()) return false;
+    for (std::size_t i = 0; i < elements.size(); ++i)
+      if (!same_bits(recorded[i], value(elements[i]))) return false;
+    return true;
+  };
+  // The DC operating point does not see the capacitors.
+  return same_values(checkpoint.ohms_, circuit_.resistors(),
+                     [](const Resistor& r) { return r.ohms; }) &&
+         (at == 0.0 ||
+          same_values(checkpoint.farads_, circuit_.capacitors(),
+                      [](const Capacitor& c) { return c.farads; }));
+}
 
-  // Capacitor states at t = 0: steady state, no current.
+void Engine::take(TranCheckpoint& checkpoint, const TranOptions& options,
+                  const TranCheckpoint::State& state) const {
+  checkpoint.taken_ = true;
+  checkpoint.engine_ = engine_id_;
+  checkpoint.options_ = options;
+  checkpoint.waves_.clear();
+  for (const VoltageSource& v : circuit_.vsources())
+    checkpoint.waves_.push_back(v.wave);
+  checkpoint.ohms_.clear();
+  for (const Resistor& r : circuit_.resistors())
+    checkpoint.ohms_.push_back(r.ohms);
+  checkpoint.farads_.clear();
+  for (const Capacitor& c : circuit_.capacitors())
+    checkpoint.farads_.push_back(c.farads);
+  checkpoint.state_ = state;
+  checkpoint.state_.diag = last_diag_;
+}
+
+TranResult Engine::transient(const TranOptions& options,
+                             TranCheckpoint* checkpoint) {
+  if (reference_step_control_) return transient_reference(options);
+  OBS_SPAN("spice.transient");
   const auto& cap_elems = circuit_.capacitors();
-  std::vector<CapState> caps(cap_elems.size());
   auto vnode = [&](const std::vector<double>& xs, NodeId id) {
     return id == kGround ? 0.0 : xs[static_cast<std::size_t>(id - 1)];
   };
-  for (std::size_t i = 0; i < cap_elems.size(); ++i) {
-    caps[i].voltage = vnode(x, cap_elems[i].a) - vnode(x, cap_elems[i].b);
-    caps[i].current = 0.0;
+  if (effective_solver() != LinearSolver::kDense) checkpoint = nullptr;
+  const double at = checkpoint != nullptr ? checkpoint->at() : 0.0;
+
+  // `s` is everything the step loop carries from one step to the next.
+  TranCheckpoint::State s;
+  // Whether this run may still record its state at `at`.
+  bool recording = false;
+  if (checkpoint != nullptr && resumable(*checkpoint, options)) {
+    s = checkpoint->state_;
+    last_diag_ = s.diag;
+    transient_resumes_counter().add(1);
+  } else {
+    s.result = empty_result();
+    s.x = dc_operating_point(0.0, options);
+    // Capacitor states at t = 0: steady state, no current.
+    s.caps.resize(cap_elems.size());
+    for (std::size_t i = 0; i < cap_elems.size(); ++i)
+      s.caps[i].voltage =
+          vnode(s.x, cap_elems[i].a) - vnode(s.x, cap_elems[i].b);
+    s.result.append(0.0, s.x, n_nodes_);
+    // `dt` is the nominal step and only the error controller writes it:
+    // rejections shrink it (a rejection at a breakpoint-clipped dt_eff is
+    // still real evidence, since dt_eff <= dt), acceptance grows or holds
+    // it. Breakpoint clipping itself never feeds back — historically the
+    // accepted clipped step was written back into the controller, so
+    // landing near a PWL corner with a tiny clip collapsed the nominal
+    // step and the rest of the run crawled back up at 1.5x per accepted
+    // step.
+    s.dt = options.dt_max / 16.0;
+    s.x_prev2 = s.x;  // two steps back, for the predictor
+    s.dt_prev = s.dt;
+    if (checkpoint != nullptr && at == 0.0) {
+      take(*checkpoint, options, s);
+    } else if (checkpoint != nullptr && at > 0.0 && options.t_stop >= at) {
+      // Only a source point at `at` caps every step before it, so that
+      // the sources' later points and t_stop cannot shape the prefix.
+      recording = std::any_of(
+          circuit_.vsources().begin(), circuit_.vsources().end(),
+          [at](const VoltageSource& v) { return v.wave.has_point_at(at); });
+    }
   }
-
-  result.append(0.0, x, n_nodes_);
-
-  double t = 0.0;
-  // `dt` is the nominal step and only the error controller writes it:
-  // rejections shrink it (a rejection at a breakpoint-clipped dt_eff is
-  // still real evidence, since dt_eff <= dt), acceptance grows or holds
-  // it. Breakpoint clipping itself never feeds back — historically the
-  // accepted clipped step was written back into the controller, so
-  // landing near a PWL corner with a tiny clip collapsed the nominal
-  // step and the rest of the run crawled back up at 1.5x per accepted
-  // step.
-  double dt = options.dt_max / 16.0;
-  std::vector<double> x_prev2 = x;  // two steps back, for the predictor
-  double dt_prev = dt;
-  bool have_prev = false;
 
   // Per-step work vectors live in the context: a warm transient allocates
   // nothing inside this loop (asserted by the golden suite). The sparse
@@ -921,20 +1002,27 @@ TranResult Engine::transient(const TranOptions& options) {
     if (be_fallbacks > 0) transient_be_fallback_counter().add(be_fallbacks);
   };
 
-  while (t < options.t_stop - 1e-18) {
+  while (s.t < options.t_stop - 1e-18) {
     // Land exactly on source breakpoints so PWL corners are not smeared.
-    double dt_eff = std::min(dt, options.t_stop - t);
+    double dt_eff = std::min(s.dt, options.t_stop - s.t);
     for (const VoltageSource& src : circuit_.vsources()) {
-      const double bp = src.wave.next_breakpoint(t);
-      if (bp > t && bp - t < dt_eff) dt_eff = bp - t;
+      const double bp = src.wave.next_breakpoint(s.t);
+      if (bp > s.t && bp - s.t < dt_eff) dt_eff = bp - s.t;
     }
+    // The checkpoint needs every attempt before `at` to start where the
+    // point at `at` is still the next breakpoint it can clip to (the
+    // engine's 1e-18 s resolution, as in the loop test and
+    // next_breakpoint) and to solve no later than `at`.
+    if (recording &&
+        !(s.t + 1e-18 < at && s.t < at - 1e-18 && s.t + dt_eff <= at))
+      recording = false;
 
     // Warm-start Newton from the linear predictor; typically saves one to
     // two iterations per accepted step.
-    std::copy(x.begin(), x.end(), x_pred.begin());
-    if (have_prev) {
+    std::copy(s.x.begin(), s.x.end(), x_pred.begin());
+    if (s.have_prev) {
       for (std::size_t i = 0; i < dim_; ++i)
-        x_pred[i] = x[i] + (x[i] - x_prev2[i]) * (dt_eff / dt_prev);
+        x_pred[i] = s.x[i] + (s.x[i] - s.x_prev2[i]) * (dt_eff / s.dt_prev);
     }
 
     // Per-step retry ladder before shrinking the step: (0) the plain
@@ -944,7 +1032,7 @@ TranResult Engine::transient(const TranOptions& options) {
     // the timestep cut, and only dt underflow is a hard failure.
     SolveSetup setup;
     setup.transient = true;
-    setup.t = t + dt_eff;
+    setup.t = s.t + dt_eff;
     setup.h = dt_eff;
     NrOutcome out;
     bool ok = false;
@@ -956,14 +1044,14 @@ TranResult Engine::transient(const TranOptions& options) {
       setup.backward_euler = attempt == 2;
       if (attempt == 2) ++be_fallbacks;
       std::copy(x_pred.begin(), x_pred.end(), x_new.begin());
-      out = solve_nonlinear(x_new, setup, caps, ladder);
+      out = solve_nonlinear(x_new, setup, s.caps, ladder);
       ok = out.converged;
     }
     used_be = ok && setup.backward_euler;
     if (!ok) {
       ++rejected;
-      dt = dt_eff / 4.0;
-      if (dt < options.dt_min) {
+      s.dt = dt_eff / 4.0;
+      if (s.dt < options.dt_min) {
         flush_steps();
         solve_error_counter().add(1);
         last_diag_ =
@@ -980,17 +1068,17 @@ TranResult Engine::transient(const TranOptions& options) {
     // the ladder rescued with backward Euler is exempt from rejection
     // (it was already the emergency path; halving re-enters the ladder
     // with no new information), but never grows the next step.
-    if (have_prev) {
+    if (s.have_prev) {
       double err = 0.0;
       for (std::size_t i = 0; i < n_nodes_; ++i) {
-        const double slope = (x[i] - x_prev2[i]) / dt_prev;
-        const double pred = x[i] + slope * dt_eff;
+        const double slope = (s.x[i] - s.x_prev2[i]) / s.dt_prev;
+        const double pred = s.x[i] + slope * dt_eff;
         err = std::max(err, std::abs(x_new[i] - pred));
       }
       if (!used_be && err > options.lte_tol * 50.0 &&
           dt_eff > options.dt_min * 16.0) {
         ++rejected;
-        dt = dt_eff / 2.0;
+        s.dt = dt_eff / 2.0;
         continue;
       }
       // Graded growth: far below tolerance (the flat stretches between
@@ -998,37 +1086,42 @@ TranResult Engine::transient(const TranOptions& options) {
       // dt_max in a few steps after an edge forced it down; merely good
       // error grows conservatively. BE rescue or mediocre error holds.
       if (!used_be && err < options.lte_tol * 0.5)
-        dt = std::min(dt * 2.0, options.dt_max);
+        s.dt = std::min(s.dt * 2.0, options.dt_max);
       else if (!used_be && err < options.lte_tol * 5.0)
-        dt = std::min(dt * 1.5, options.dt_max);
+        s.dt = std::min(s.dt * 1.5, options.dt_max);
     }
 
     // Accept the step: update capacitor companion states with the same
     // integration method the converged solve used.
     for (std::size_t i = 0; i < cap_elems.size(); ++i) {
       if (cap_elems[i].farads <= 0.0) continue;
+      CapState& cap = s.caps[i];
       const double v_new =
           vnode(x_new, cap_elems[i].a) - vnode(x_new, cap_elems[i].b);
       if (used_be) {
         const double geq = cap_elems[i].farads / dt_eff;
-        caps[i].current = geq * (v_new - caps[i].voltage);
+        cap.current = geq * (v_new - cap.voltage);
       } else {
         const double geq = 2.0 * cap_elems[i].farads / dt_eff;
-        caps[i].current = geq * (v_new - caps[i].voltage) - caps[i].current;
+        cap.current = geq * (v_new - cap.voltage) - cap.current;
       }
-      caps[i].voltage = v_new;
+      cap.voltage = v_new;
     }
-    x_prev2 = x;
-    dt_prev = dt_eff;
-    have_prev = true;
-    x = x_new;
-    t += dt_eff;
+    s.x_prev2 = s.x;
+    s.dt_prev = dt_eff;
+    s.have_prev = true;
+    s.x = x_new;
+    s.t += dt_eff;
     ++accepted;
-    result.append(t, x, n_nodes_);
+    s.result.append(s.t, s.x, n_nodes_);
+    if (recording && s.t == at) {
+      take(*checkpoint, options, s);
+      recording = false;
+    }
   }
   flush_steps();
-  result.set_final_state(x);
-  return result;
+  s.result.set_final_state(s.x);
+  return std::move(s.result);
 }
 
 }  // namespace cryo::spice

@@ -171,6 +171,7 @@ class SolveError : public std::runtime_error {
 // sampled at every accepted timestep.
 class TranResult {
  public:
+  TranResult() = default;
   TranResult(std::vector<std::string> node_names,
              std::vector<std::string> source_names)
       : node_names_(std::move(node_names)),
@@ -202,6 +203,49 @@ class TranResult {
   // Column-major storage: one vector per signal.
   std::vector<std::vector<double>> node_values_;
   std::vector<std::vector<double>> source_values_;
+};
+
+// Companion-model state of one capacitor between transient steps.
+struct CapState {
+  double voltage = 0.0;  // v(a) - v(b) at the last accepted step
+  double current = 0.0;  // companion current at the last accepted step
+};
+
+// A transient's state at time at(), so that later runs whose stimulus
+// agrees up to there skip simulating it again (Engine::transient). For
+// at() > 0 it is the state after the accepted step that landed exactly
+// on a source point at at(); for at() = 0 the DC operating point. It
+// holds x, the predictor's previous x and step, the controller's step,
+// the capacitor states, the samples so far and the last diagnostics,
+// plus what the run depended on up to at(), which a resume checks.
+class TranCheckpoint {
+ public:
+  explicit TranCheckpoint(double at = 0.0) : at_(at) {}
+  double at() const { return at_; }
+  // Whether a run has recorded its state here.
+  bool taken() const { return taken_; }
+
+ private:
+  friend class Engine;
+  struct State {
+    double t = 0.0;
+    double dt = 0.0;       // the error controller's nominal step
+    double dt_prev = 0.0;  // the last accepted step, for the predictor
+    bool have_prev = false;
+    std::vector<double> x, x_prev2;
+    std::vector<CapState> caps;
+    TranResult result;
+    SolveDiagnostics diag;
+  };
+
+  double at_;
+  bool taken_ = false;
+  // What the recorded prefix depended on.
+  std::uint64_t engine_ = 0;
+  TranOptions options_;
+  std::vector<Waveform> waves_;
+  std::vector<double> ohms_, farads_;
+  State state_;
 };
 
 class Engine {
@@ -236,7 +280,21 @@ class Engine {
   // SolveError is thrown on timestep underflow. Breakpoint clipping never
   // feeds back into the step controller: landing on a PWL corner caps the
   // one step (and its retries), not the nominal step size.
-  TranResult transient(const TranOptions& options);
+  //
+  // With a `checkpoint`, the run resumes from its state when that is
+  // provably the state this run reaches at checkpoint->at(): the
+  // checkpoint was taken on this engine, the options match in every
+  // field but t_stop (which must lie past at()), every source agrees
+  // with its recorded waveform up to at() (Waveform::agrees_until), every
+  // resistor value matches and, when at() > 0, every capacitor value
+  // (the Circuit has no mutator for anything else). Otherwise the run
+  // starts from scratch and records its state at at() into the
+  // checkpoint, if it lands there exactly with every earlier step capped
+  // by a source point at at(). Either way the result is bit-identical
+  // to transient(options). The sparse core, whose frozen pivots carry
+  // over between solves, ignores checkpoints.
+  TranResult transient(const TranOptions& options,
+                       TranCheckpoint* checkpoint = nullptr);
 
   // Diagnostics of the most recent top-level solve on this engine (DC or
   // the last transient step), successful or not.
@@ -283,11 +341,6 @@ class Engine {
   const SolveContext& context() const { return *ctx_; }
 
  private:
-  struct CapState {
-    double voltage = 0.0;  // v(a) - v(b) at last accepted step
-    double current = 0.0;  // companion current at last accepted step
-  };
-
   // Per-solve configuration threaded through build/solve_nonlinear:
   // continuation scale multiplies every source value; backward_euler
   // selects BE companions over trapezoidal ones for this step.
@@ -360,6 +413,15 @@ class Engine {
   // mode (clipping feeds the controller, per-step workspace allocations,
   // per-step final-state copies).
   TranResult transient_reference(const TranOptions& options);
+
+  // A result with this circuit's signal names and no samples.
+  TranResult empty_result() const;
+  // The resume checks of transient() against the current circuit.
+  bool resumable(const TranCheckpoint& checkpoint,
+                 const TranOptions& options) const;
+  // Records the run's state at checkpoint.at() with what it depended on.
+  void take(TranCheckpoint& checkpoint, const TranOptions& options,
+            const TranCheckpoint::State& state) const;
 
   // Renders an NrOutcome into diagnostics (node names resolved).
   SolveDiagnostics diagnose(const NrOutcome& out, const SolveSetup& setup,

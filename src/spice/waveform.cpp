@@ -1,7 +1,9 @@
 #include "spice/waveform.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -77,6 +79,53 @@ double Waveform::next_breakpoint(double t) const {
   for (const auto& [bt, bv] : points_)
     if (bt > t + 1e-18) return bt;
   return kInf;
+}
+
+bool Waveform::agrees_until(const Waveform& other, double t) const {
+  using Point = std::pair<double, double>;
+  const auto same = [](const Point& a, const Point& b) {
+    return std::bit_cast<std::uint64_t>(a.first) ==
+               std::bit_cast<std::uint64_t>(b.first) &&
+           std::bit_cast<std::uint64_t>(a.second) ==
+               std::bit_cast<std::uint64_t>(b.second);
+  };
+  const std::vector<Point>& p = points_;
+  const std::vector<Point>& q = other.points_;
+  if (std::bit_cast<std::uint64_t>(period_) !=
+      std::bit_cast<std::uint64_t>(other.period_))
+    return false;
+  if (std::equal(p.begin(), p.end(), q.begin(), q.end(), same)) return true;
+  if (period_ > 0.0) return false;
+  // value() and next_breakpoint() scan the points in order, so up to t
+  // they read the leading points at or before t and, as the far end of
+  // the segment spanning t, the first point after it.
+  const auto ascending = [](const std::vector<Point>& v) {
+    return std::is_sorted(v.begin(), v.end(), [](const Point& a,
+                                                 const Point& b) {
+      return a.first < b.first;
+    });
+  };
+  const auto head = [t](const std::vector<Point>& v) {
+    return static_cast<std::size_t>(
+        std::find_if(v.begin(), v.end(),
+                     [t](const Point& pt) { return pt.first > t; }) -
+        v.begin());
+  };
+  const std::size_t n = head(p);
+  if (!ascending(p) || !ascending(q) || n == 0 || n != head(q) ||
+      n == p.size() || n == q.size() ||
+      !std::equal(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(n),
+                  q.begin(), same))
+    return false;
+  const Point& last = p[n - 1];
+  return last.first == t ||
+         (p[n].second == last.second && q[n].second == last.second);
+}
+
+bool Waveform::has_point_at(double t) const {
+  if (period_ > 0.0) return false;
+  return std::any_of(points_.begin(), points_.end(),
+                     [t](const auto& pt) { return pt.first == t; });
 }
 
 double Trace::at(double t) const {

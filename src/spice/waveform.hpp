@@ -41,6 +41,17 @@ class Waveform {
   // land a step exactly on source corners); returns +inf when none.
   double next_breakpoint(double t) const;
 
+  // True when `other` reads the same as this waveform up to time t:
+  // value() gives the same bits at every time <= t, and next_breakpoint()
+  // the same breakpoint up to t, or a later one in both. Non-periodic
+  // waveforms agree when their points up to t are the same bits, both
+  // have points after t, and the segment spanning t ends on t or is flat
+  // in both; periodic ones only when identical. A transient resumed from
+  // a checkpoint at t relies on this (Engine::transient).
+  bool agrees_until(const Waveform& other, double t) const;
+  // True when t is one of a non-periodic waveform's points.
+  bool has_point_at(double t) const;
+
  private:
   explicit Waveform(std::vector<std::pair<double, double>> points)
       : points_(std::move(points)) {}

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "charlib/characterizer.hpp"
+#include "core/artifacts.hpp"
 #include "core/error.hpp"
 #include "core/flow.hpp"
 #include "device/modelcard.hpp"
@@ -484,13 +487,40 @@ TEST(Characterizer, QuarantineOrderingIsThreadCountInvariant) {
   EXPECT_EQ(first_quarantine[1], "INV_BROKEN_B:A_rise->Z_fall");
 }
 
+// FNV-1a over the bits of every number a characterization returns: each
+// cell's pin caps, leakage states and mean, setup/hold, and its arcs'
+// delay, slew and energy tables.
+std::uint64_t numbers_hash(const Library& lib) {
+  std::string bytes;
+  const auto add = [&](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  for (const CellChar& cell : lib.cells) {
+    for (const auto& [pin, cap] : cell.pin_caps) add(cap);
+    for (const LeakageState& state : cell.leakage) {
+      add(state.pattern);
+      add(state.watts);
+    }
+    add(cell.leakage_avg);
+    add(cell.setup_time);
+    add(cell.hold_time);
+    for (const NldmArc& arc : cell.arcs)
+      for (const Table2D* table : {&arc.delay, &arc.output_slew, &arc.energy})
+        for (const double v : table->values()) add(v);
+  }
+  return core::fnv1a64(bytes);
+}
+
 TEST(Characterizer, CommittedLibrariesReproduceByteForByte) {
   // Anchors the committed artifacts: a fresh characterization of a
   // combinational, a SLVT, a flip-flop and a latch cell with the golden
   // modelcards and default options must render the same Liberty text as
   // those cells' slice of lib/cryo5_{300k,10k}.lib. Artifact manifests
   // only match input fingerprints, so this is the check that a solver
-  // change left the committed numbers where they are.
+  // change left the committed numbers where they are. The text holds
+  // %.6g, so the same run's numbers are also pinned bit for bit, by a
+  // hash recorded with the characterizer that simulated every grid
+  // point and capture from t = 0.
   const std::vector<std::string> names = {"INV_X1", "NAND2_X2_SLVT", "DFF_X1",
                                           "LATCH_X1"};
   std::vector<cells::CellDef> defs;
@@ -499,8 +529,9 @@ TEST(Characterizer, CommittedLibrariesReproduceByteForByte) {
       defs.push_back(def);
   ASSERT_EQ(defs.size(), names.size());
 
-  for (const auto& [temperature, file] :
-       {std::pair{300.0, "cryo5_300k.lib"}, std::pair{10.0, "cryo5_10k.lib"}}) {
+  for (const auto& [temperature, file, golden] :
+       {std::tuple{300.0, "cryo5_300k.lib", 0xa1d6f5bf88597c72ull},
+        std::tuple{10.0, "cryo5_10k.lib", 0x41444fe45d276b96ull}}) {
     Library committed =
         liberty::read_file(core::default_lib_dir() + "/" + file);
     std::vector<CellChar> slice;
@@ -511,9 +542,9 @@ TEST(Characterizer, CommittedLibrariesReproduceByteForByte) {
     CharOptions opt;
     opt.temperature = temperature;
     Characterizer ch(device::golden_nmos(), device::golden_pmos(), opt);
-    EXPECT_EQ(liberty::write(ch.characterize_all(defs, committed.name)),
-              liberty::write(committed))
-        << file;
+    const Library fresh = ch.characterize_all(defs, committed.name);
+    EXPECT_EQ(numbers_hash(fresh), golden) << file;
+    EXPECT_EQ(liberty::write(fresh), liberty::write(committed)) << file;
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -556,6 +557,16 @@ TEST(ObsJson, BothRenderingsArePinned) {
             "\"list\":[1,\"two\",{\"k\":0.5,\"nested\":[[]]}]}");
   EXPECT_TRUE(JsonChecker(doc.dump()).valid());
   EXPECT_TRUE(JsonChecker(doc.dump_line()).valid());
+}
+
+TEST(ObsJson, UnsignedValuesRenderExactly) {
+  obs::Json doc = obs::Json::object();
+  doc["max"] = std::numeric_limits<std::uint64_t>::max();
+  doc["top_bit"] = std::uint64_t{1} << 63;
+  doc["u32"] = std::numeric_limits<unsigned>::max();
+  EXPECT_EQ(doc.dump_line(),
+            "{\"max\":18446744073709551615,\"top_bit\":9223372036854775808,"
+            "\"u32\":4294967295}");
 }
 
 TEST(ObsJson, NonFiniteNumbersRenderAsNull) {

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -113,6 +115,24 @@ TEST(ServeWire, FingerprintIgnoresIdButTracksPayload) {
   EXPECT_NE(request_fingerprint(a), request_fingerprint(other_kind));
   FlowRequest other_corner = leakage_request(Corner{0.7, 10.5, ""});
   EXPECT_NE(request_fingerprint(a), request_fingerprint(other_corner));
+}
+
+TEST(ServeWire, MaxUnsignedCountsRoundTripToTheSameFingerprint) {
+  // Counts up to 2^64 - 1 are admitted, so they must render back exactly:
+  // a wrapped negative text would hash differently and fail to re-parse.
+  const std::string line =
+      R"({"schema":"cryosoc-req-v1","kind":"measured_power","corner":)"
+      R"({"vdd":0.7,"temperature_k":300},"activity":{)"
+      R"("cycles":18446744073709551615,"events":9223372036854775808,)"
+      R"("glitches":0,"net_toggles":[18446744073709551615],"net_glitches":[]}})";
+  const FlowRequest request = parse_request(line);
+  ASSERT_EQ(request.activity.cycles, std::numeric_limits<std::uint64_t>::max());
+  const std::string wire = to_json(request).dump(0);
+  EXPECT_NE(wire.find("\"cycles\": 18446744073709551615"), std::string::npos)
+      << wire;
+  const FlowRequest reparsed = parse_request(wire);
+  EXPECT_EQ(to_json(reparsed).dump(0), wire);
+  EXPECT_EQ(request_fingerprint(reparsed), request_fingerprint(request));
 }
 
 TEST(ServeWire, ParseRejectsMalformedRequests) {
@@ -384,6 +404,52 @@ TEST(ServeWire, ResponseRoundTripsByteIdenticallyForEveryKind) {
     EXPECT_EQ(parsed.meta.sequence, 42u);
     EXPECT_EQ(parsed.meta.kind_latency.count, 7u);
   }
+}
+
+TEST(ServeWire, ParseResponseRejectsWrongTypes) {
+  // Every defect after the JSON syntax is a response-parse error too, and
+  // a container of the wrong type is one, not an empty default.
+  const auto stage_of = [](const std::string& text) {
+    try {
+      parse_response(text);
+      return std::string("no-throw");
+    } catch (const FlowError& e) {
+      return e.stage();
+    }
+  };
+  const std::string head =
+      R"({"schema":"cryosoc-resp-v1","kind":"timing","ok":true,)"
+      R"("corner":{"vdd":0.7,"temperature_k":300},"result":)";
+  const auto timing = [&](const std::string& path) {
+    return head +
+           R"({"timing":{"critical_delay_s":1e-9,"fmax_hz":1e9,)"
+           R"("endpoint_count":3,"critical_path":)" +
+           path + "}}}";
+  };
+  EXPECT_EQ(stage_of(timing("[]")), "no-throw");
+  EXPECT_EQ(stage_of(timing(R"([{"instance":"u1","delay_s":1e-12}])")),
+            "no-throw");
+  const auto sweep = [](const std::string& body) {
+    return R"({"schema":"cryosoc-resp-v1","kind":"sweep","ok":true,)"
+           R"("result":{"sweep":{"failed":0,)" +
+           body + "}}}";
+  };
+  EXPECT_EQ(stage_of(sweep(R"("corners":[],"fmax_vs_temperature":[])")),
+            "no-throw");
+  for (const std::string& line : std::vector<std::string>{
+           "{not json", timing("{}"), timing("7"),
+           timing(R"([{"instance":7}])"),
+           timing(R"([{"delay_s":"fast"}])"),
+           sweep(R"("corners":{})"), sweep(R"("corners":"none")"),
+           sweep(R"("corners":[],"fmax_vs_temperature":{})"),
+           sweep(R"("corners":[],"fmax_vs_temperature":7)"),
+           head + R"({"library_leakage_w":"high"}})",
+           R"({"schema":"cryosoc-resp-v1","kind":7,"ok":true})",
+           R"({"schema":"cryosoc-resp-v1","kind":"timing","ok":true,)"
+           R"("error":{"stage":3}})",
+           R"({"schema":"cryosoc-resp-v1","kind":"timing","ok":true,)"
+           R"("meta":{"sequence":-1}})"})
+    EXPECT_EQ(stage_of(line), "response-parse") << line;
 }
 
 TEST(ServeWire, JsonParserHandlesEscapesAndRejectsGarbage) {

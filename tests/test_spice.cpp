@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "device/modelcard.hpp"
+#include "obs/metrics.hpp"
 #include "spice/engine.hpp"
 
 namespace cryo::spice {
@@ -362,6 +367,200 @@ TEST(Tran, SourceCurrentEnergyMatchesLoad) {
   const double load_energy = load * 0.7 * 0.7;  // C*V^2 drawn from supply
   EXPECT_GT(energy, 0.9 * load_energy);
   EXPECT_LT(energy, 2.5 * load_energy);
+}
+
+// An inverter pair behind a gate resistor, driven by a warm-up pulse and
+// then a measured edge at kEdge whose ramp, like a characterization grid's
+// slew, varies between runs.
+class CheckpointBench : public ::testing::Test {
+ protected:
+  static constexpr double kEdge = 100e-12;
+
+  static Waveform drive(double ramp, double warmup = 20e-12) {
+    return Waveform::pwl({{0.0, 0.0},
+                          {warmup, 0.0},
+                          {warmup + 2e-12, 0.7},
+                          {60e-12, 0.7},
+                          {62e-12, 0.0},
+                          {kEdge, 0.0},
+                          {kEdge + ramp, 0.7}});
+  }
+
+  CheckpointBench() {
+    device::ModelCard n = device::golden_nmos();
+    n.NFIN = 2;
+    device::ModelCard p = device::golden_pmos();
+    p.NFIN = 3;
+    circuit_.add_vsource("vdd", "vdd", "0", Waveform::dc(0.7));
+    in_ = circuit_.add_vsource("vin", "src", "0", drive(4e-12));
+    circuit_.add_resistor("src", "in", 200.0);
+    circuit_.add_mosfet("mp1", "mid", "in", "vdd", device::FinFet(p, 77.0));
+    circuit_.add_mosfet("mn1", "mid", "in", "0", device::FinFet(n, 77.0));
+    circuit_.add_mosfet("mp2", "out", "mid", "vdd", device::FinFet(p, 77.0));
+    circuit_.add_mosfet("mn2", "out", "mid", "0", device::FinFet(n, 77.0));
+    circuit_.add_capacitor("out", "0", 1e-15);
+    load_ = circuit_.capacitors().size() - 1;
+    options_.t_stop = 220e-12;
+    options_.dt_max = 6e-12;
+  }
+
+  static std::uint64_t resumes() {
+    return obs::registry().counter("spice.transient_resumes").value();
+  }
+
+  // The same run bit for bit: every sample of every signal, the final
+  // state and the diagnostics.
+  static void expect_same_run(const TranResult& a, const SolveDiagnostics& da,
+                              const TranResult& b,
+                              const SolveDiagnostics& db) {
+    ASSERT_EQ(a.sample_count(), b.sample_count());
+    const auto same = [](const std::vector<double>& u,
+                         const std::vector<double>& v) {
+      return u.size() == v.size() &&
+             std::memcmp(u.data(), v.data(), u.size() * sizeof(double)) == 0;
+    };
+    for (const char* node : {"src", "in", "mid", "out", "vdd"}) {
+      EXPECT_TRUE(same(a.node(node).time, b.node(node).time)) << node;
+      EXPECT_TRUE(same(a.node(node).value, b.node(node).value)) << node;
+    }
+    for (const char* source : {"vdd", "vin"})
+      EXPECT_TRUE(same(a.source_current(source).value,
+                       b.source_current(source).value))
+          << source;
+    EXPECT_TRUE(same(a.final_state(), b.final_state()));
+    EXPECT_EQ(da.to_string(), db.to_string());
+    EXPECT_EQ(da.failing_node, db.failing_node);
+    EXPECT_TRUE(same({da.worst_residual, da.gmin_reached, da.source_scale,
+                      da.time},
+                     {db.worst_residual, db.gmin_reached, db.source_scale,
+                      db.time}));
+    EXPECT_EQ(da.iterations, db.iterations);
+    EXPECT_EQ(da.near_singular, db.near_singular);
+    EXPECT_EQ(da.fallback_path, db.fallback_path);
+  }
+
+  // Runs with `checkpoint`, then without, and expects the same bits;
+  // returns whether the first run resumed.
+  bool run_both(Engine& engine, TranCheckpoint& checkpoint,
+                const TranOptions& options) {
+    const std::uint64_t before = resumes();
+    const TranResult with = engine.transient(options, &checkpoint);
+    const SolveDiagnostics with_diag = engine.last_diagnostics();
+    const bool resumed = resumes() == before + 1;
+    const TranResult plain = engine.transient(options);
+    expect_same_run(with, with_diag, plain, engine.last_diagnostics());
+    return resumed;
+  }
+
+  Circuit circuit_;
+  std::size_t in_ = 0, load_ = 0;
+  TranOptions options_;
+};
+
+TEST_F(CheckpointBench, ResumeAtAnEdgeEqualsTheUninterruptedRun) {
+  Engine engine(circuit_);
+  TranCheckpoint checkpoint(kEdge);
+  EXPECT_FALSE(run_both(engine, checkpoint, options_));
+  ASSERT_TRUE(checkpoint.taken());
+  // Other ramps after the edge, and a longer run, share the prefix.
+  for (const double ramp : {4e-12, 1e-12, 10e-12, 40e-12}) {
+    SCOPED_TRACE(ramp);
+    circuit_.set_vsource_wave(in_, drive(ramp));
+    EXPECT_TRUE(run_both(engine, checkpoint, options_));
+  }
+  TranOptions longer = options_;
+  longer.t_stop = 400e-12;
+  EXPECT_TRUE(run_both(engine, checkpoint, longer));
+}
+
+TEST_F(CheckpointBench, ResumeAtZeroEqualsTheUninterruptedRun) {
+  Engine engine(circuit_);
+  TranCheckpoint checkpoint(0.0);
+  EXPECT_FALSE(run_both(engine, checkpoint, options_));
+  ASSERT_TRUE(checkpoint.taken());
+  // The DC state sees neither the stimulus after t = 0 nor the load.
+  circuit_.set_vsource_wave(in_, drive(10e-12, 30e-12));
+  EXPECT_TRUE(run_both(engine, checkpoint, options_));
+  circuit_.set_capacitor_farads(load_, 4e-15);
+  EXPECT_TRUE(run_both(engine, checkpoint, options_));
+  // A source that differs at t = 0 is refused.
+  circuit_.set_vsource_wave(in_, Waveform::ramp(0.7, 0.0, 30e-12, 5e-12));
+  EXPECT_FALSE(run_both(engine, checkpoint, options_));
+}
+
+TEST_F(CheckpointBench, RefusedResumeRunsFromScratch) {
+  Engine engine(circuit_);
+  const auto fresh = [&] {
+    circuit_.set_vsource_wave(in_, drive(4e-12));
+    circuit_.set_capacitor_farads(load_, 1e-15);
+    TranCheckpoint checkpoint(kEdge);
+    engine.transient(options_, &checkpoint);
+    EXPECT_TRUE(checkpoint.taken());
+    return checkpoint;
+  };
+  {
+    SCOPED_TRACE("a source differs before the checkpoint");
+    TranCheckpoint checkpoint = fresh();
+    circuit_.set_vsource_wave(in_, drive(4e-12, 25e-12));
+    EXPECT_FALSE(run_both(engine, checkpoint, options_));
+    // The refused run recorded its own prefix, which the next resumes.
+    EXPECT_TRUE(run_both(engine, checkpoint, options_));
+  }
+  {
+    SCOPED_TRACE("an element value differs");
+    TranCheckpoint checkpoint = fresh();
+    circuit_.set_capacitor_farads(load_, 2e-15);
+    EXPECT_FALSE(run_both(engine, checkpoint, options_));
+  }
+  {
+    SCOPED_TRACE("the options differ");
+    TranCheckpoint checkpoint = fresh();
+    TranOptions tighter = options_;
+    tighter.lte_tol *= 0.5;
+    EXPECT_FALSE(run_both(engine, checkpoint, tighter));
+    TranOptions budget = options_;
+    budget.max_nr_iterations += 1;
+    EXPECT_FALSE(run_both(engine, checkpoint, budget));
+  }
+  {
+    SCOPED_TRACE("the run ends at the checkpoint");
+    TranCheckpoint checkpoint = fresh();
+    TranOptions shorter = options_;
+    shorter.t_stop = kEdge;
+    EXPECT_FALSE(run_both(engine, checkpoint, shorter));
+  }
+  {
+    SCOPED_TRACE("another engine");
+    TranCheckpoint checkpoint = fresh();
+    Engine other(circuit_);
+    EXPECT_FALSE(run_both(other, checkpoint, options_));
+  }
+}
+
+TEST(Waveform, AgreesUntil) {
+  const Waveform a = Waveform::pwl({{0.0, 0.0}, {1.0, 0.0}, {2.0, 1.0}});
+  // Points up to t shared; the segment spanning t ends on it.
+  EXPECT_TRUE(a.agrees_until(Waveform::pwl({{0.0, 0.0}, {1.0, 0.0},
+                                            {3.0, 1.0}}),
+                             1.0));
+  // ... or is flat in both.
+  EXPECT_TRUE(a.agrees_until(Waveform::pwl({{0.0, 0.0}, {1.5, 0.0}}), 0.5));
+  EXPECT_FALSE(a.agrees_until(Waveform::pwl({{0.0, 0.0}, {1.5, 1.0}}), 0.5));
+  // A point before t differs, or one waveform ends by t.
+  EXPECT_FALSE(a.agrees_until(Waveform::pwl({{0.0, 0.0}, {0.9, 0.0},
+                                             {2.0, 1.0}}),
+                              1.0));
+  EXPECT_FALSE(a.agrees_until(Waveform::pwl({{0.0, 0.0}, {1.0, 0.0}}), 1.0));
+  EXPECT_TRUE(a.agrees_until(a, 5.0));
+  // Periodic waveforms agree only when identical.
+  const Waveform p = Waveform::pulse(0.0, 1.0, 1.0, 0.1, 0.1, 1.0, 4.0);
+  EXPECT_TRUE(p.agrees_until(p, 2.0));
+  EXPECT_FALSE(p.agrees_until(Waveform::pulse(0.0, 1.0, 1.0, 0.1, 0.1, 1.0,
+                                              5.0),
+                              0.5));
+  EXPECT_TRUE(a.has_point_at(1.0));
+  EXPECT_FALSE(a.has_point_at(1.5));
+  EXPECT_FALSE(p.has_point_at(1.0));
 }
 
 }  // namespace

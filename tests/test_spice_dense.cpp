@@ -10,6 +10,7 @@
 // allocate nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -271,6 +272,14 @@ TEST(DenseSchedule, NonFiniteAndExtremeInputTakeTheSeedLoop) {
   expect_same_as_seed(lu, n, a, rhs);
   EXPECT_EQ(lu.schedules(), 1u);
 
+  // A -0 in b. Row 0 of U is structurally zero in column 1, and x1 < 0:
+  // the seed loop's -0 - 0 * x1 is +0, which a back-substitution over U's
+  // pattern would leave at -0.
+  DenseLu lower;
+  lower.analyze(2, {{0, 0}, {1, 0}, {1, 1}}, &allocations);
+  expect_same_as_seed(lower, 2, {2, 0, 1, 1}, {-0.0, -1.0});
+  EXPECT_EQ(lower.schedules(), 0u);
+
   // Over kMaxScheduledDim unknowns: always the seed loop, no schedule.
   const std::size_t big = DenseLu::kMaxScheduledDim + 6;
   Rng rng(7);
@@ -288,6 +297,51 @@ TEST(DenseSchedule, NonFiniteAndExtremeInputTakeTheSeedLoop) {
   big_lu.analyze(big, dense, &allocations);
   expect_same_as_seed(big_lu, big, big_a, big_b);
   EXPECT_EQ(big_lu.schedules(), 0u);
+}
+
+TEST(DenseSchedule, OverflowingBackSubstitutionFallsBackToTheDenseLoop) {
+  // Inside the input guard, a tiny pivot can still push an entry of x to
+  // +-inf; from there a skipped structural zero would read 0 * inf as 0
+  // where the seed loop gets NaN, so the rows left take the dense loop.
+  // Each system is solved twice: the first records the schedule, the
+  // second replays it.
+  const double tiny = 0x1p-850, small = 0x1p-820, huge = 0x1p800;
+  struct Case {
+    const char* what;
+    std::vector<Coord> coords;
+    std::vector<double> a, b;
+  };
+  const std::vector<Case> cases = {
+      {"last row +inf, a structural zero above it",
+       {{0, 0}, {0, 1}, {1, 1}, {1, 2}, {1, 3}, {2, 2}, {3, 3}},
+       {1, 1, 0, 0, 0, 1, 1, small, 0, 0, 1, 0, 0, 0, 0, tiny},
+       {1, 1, 1, huge}},
+      {"last row -inf, then +inf, then inf - inf",
+       {{0, 0}, {0, 1}, {1, 1}, {1, 2}, {1, 3}, {2, 2}, {2, 3}, {3, 3}},
+       {1, 1, 0, 0, 0, 1, 1, small, 0, 0, 1, 0x1p-830, 0, 0, 0, tiny},
+       {1, 1, 1, -huge}},
+      {"a middle row overflows, a structural zero above it",
+       {{0, 0}, {0, 2}, {1, 1}, {1, 3}, {2, 2}, {2, 3}, {3, 3}},
+       {1, 0, 0x1p-830, 0, 0, 1, 0, 1, 0, 0, tiny, 1, 0, 0, 0, 1},
+       {1, 1, huge, 1}},
+      {"a row swap and fill, then -inf",
+       {{0, 0}, {0, 1}, {0, 3}, {1, 0}, {1, 1}, {1, 2}, {2, 2}, {3, 3}},
+       {1, 2, 0, 1, 4, 0.5, 0x1p-830, 0, 0, 0, tiny, 0, 0, 0, 0, 1},
+       {1, 0.5, -huge, 1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    DenseLu lu;
+    std::uint64_t allocations = 0;
+    lu.analyze(4, c.coords, &allocations);
+    std::vector<double> a = c.a, b = c.b;
+    LuStats stats;
+    ASSERT_TRUE(lu_solve(a, b, 4, &stats));
+    EXPECT_TRUE(std::any_of(b.begin(), b.end(),
+                            [](double v) { return !std::isfinite(v); }));
+    for (int k = 0; k < 2; ++k) expect_same_as_seed(lu, 4, c.a, c.b);
+    EXPECT_EQ(lu.schedules(), 1u);
+  }
 }
 
 // Three inverters in a chain: a stage's gm lands in the next stage's
